@@ -250,7 +250,7 @@ impl DepSkyClient {
                 Err(e) => return Err(e),
             },
         };
-        self.write_with_metadata(ctx, name, data, metadata)
+        self.write_with_metadata(ctx, name, data, sha256(data), metadata)
     }
 
     /// Writes the *first* version of a data unit known to be new, skipping
@@ -261,10 +261,22 @@ impl DepSkyClient {
         name: &str,
         data: &[u8],
     ) -> Result<WriteReceipt, StorageError> {
+        self.write_new_hashed(ctx, name, data, sha256(data))
+    }
+
+    /// [`DepSkyClient::write_new`] for data whose SHA-256 the caller has
+    /// already computed.
+    fn write_new_hashed(
+        &self,
+        ctx: &mut OpCtx<'_>,
+        name: &str,
+        data: &[u8],
+        hash: ContentHash,
+    ) -> Result<WriteReceipt, StorageError> {
         let metadata = self
             .cached_metadata(name)
             .unwrap_or_else(|| DataUnitMetadata::new(name));
-        self.write_with_metadata(ctx, name, data, metadata)
+        self.write_with_metadata(ctx, name, data, hash, metadata)
     }
 
     fn cached_metadata(&self, name: &str) -> Option<DataUnitMetadata> {
@@ -276,10 +288,10 @@ impl DepSkyClient {
         ctx: &mut OpCtx<'_>,
         name: &str,
         data: &[u8],
+        hash: ContentHash,
         mut metadata: DataUnitMetadata,
     ) -> Result<WriteReceipt, StorageError> {
         let version = metadata.next_version();
-        let hash = sha256(data);
         let data_clouds = self.block_width();
         let data_shards = self.config.data_shards();
 
@@ -421,8 +433,9 @@ impl DepSkyClient {
             )));
         }
         // Blobs are write-once: the unit is known to be new, so the
-        // metadata-read phase is skipped, exactly like file creation.
-        self.write_new(ctx, &Self::blob_unit(base, hash), data)?;
+        // metadata-read phase is skipped, exactly like file creation. The
+        // address check above already hashed the data.
+        self.write_new_hashed(ctx, &Self::blob_unit(base, hash), data, *hash)?;
         Ok(())
     }
 

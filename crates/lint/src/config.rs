@@ -54,6 +54,10 @@ pub struct LintConfig {
     /// Every workspace crate name (underscored) — used to tell workspace
     /// imports apart from `std`/`core` paths in L001.
     pub workspace_crates: BTreeSet<String>,
+    /// The only files that may contain `unsafe` (S001): the CPU-specific
+    /// kernels of scfs-crypto. Every `unsafe` block in them needs a
+    /// `// SAFETY:` comment.
+    pub unsafe_modules: BTreeSet<String>,
 }
 
 fn set(names: &[&str]) -> BTreeSet<String> {
@@ -199,6 +203,11 @@ impl Default for LintConfig {
                 "criterion",
                 "proptest",
                 "scfs_repro",
+            ]),
+            unsafe_modules: set(&[
+                "crates/scfs-crypto/src/chacha20/x86.rs",
+                "crates/scfs-crypto/src/gf256/x86.rs",
+                "crates/scfs-crypto/src/sha256/x86.rs",
             ]),
         }
     }

@@ -18,12 +18,14 @@
 //! | E001 | errors       | no `.unwrap()` in data-path code                        |
 //! | E002 | errors       | no `.expect(…)` in data-path code                       |
 //! | E003 | errors       | no `panic!`/`unreachable!`/`todo!`/`unimplemented!`     |
+//! | S001 | safety       | `unsafe` only in kernel modules, under `// SAFETY:`     |
 //! | W001 | waivers      | every waiver carries a reason                           |
 //!
-//! All rules skip `#[cfg(test)]` / `#[test]` regions: the invariants guard
-//! the simulated system, and test scaffolding legitimately unwraps, builds
-//! ad-hoc clocks and iterates hash maps. Violations are reported at their
-//! source line and can be waived inline with
+//! All rules but S001 skip `#[cfg(test)]` / `#[test]` regions: the
+//! invariants guard the simulated system, and test scaffolding legitimately
+//! unwraps, builds ad-hoc clocks and iterates hash maps. Test code has no
+//! more licence for `unsafe` than any other code. Violations are reported
+//! at their source line and can be waived inline with
 //! `// scfs-lint: allow(ID, reason)` — on the offending line or the line
 //! directly above it — or carried as committed debt in `lint-baseline.toml`
 //! (see [`crate::baseline`]).
@@ -77,6 +79,10 @@ pub fn rule_catalog(cfg: &LintConfig) -> Vec<RuleInfo> {
     let sched = format!(
         "all crates except {}",
         join_set(&cfg.schedule_controller_crates)
+    );
+    let kernels = format!(
+        "all workspace crates, tests included; allowed in {}",
+        join_set(&cfg.unsafe_modules)
     );
     let row = |id, class, summary, scope: &str| RuleInfo {
         id,
@@ -164,6 +170,12 @@ pub fn rule_catalog(cfg: &LintConfig) -> Vec<RuleInfo> {
             &errors,
         ),
         row(
+            "S001",
+            "safety",
+            "`unsafe` only in kernel modules, each block under a `// SAFETY:` comment",
+            &kernels,
+        ),
+        row(
             "W001",
             "waivers",
             "every waiver carries a reason",
@@ -210,6 +222,7 @@ pub fn lint_file(sf: &SourceFile, cfg: &LintConfig) -> Vec<Violation> {
     if cfg.error_path_crates.contains(&sf.crate_name) {
         error_hygiene(sf, &mut out);
     }
+    unsafe_confinement(sf, cfg, &mut out);
     reasonless_waivers(sf, &mut out);
     apply_waivers(sf, &mut out);
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
@@ -810,6 +823,45 @@ fn error_hygiene(sf: &SourceFile, out: &mut Vec<Violation>) {
     }
 }
 
+// --- S001: unsafe confinement ----------------------------------------------
+
+/// `unsafe` is allowed only in the configured kernel modules, and there
+/// every `unsafe` block (or impl) needs a `// SAFETY:` comment on its line
+/// or directly above it. Test code is checked too.
+fn unsafe_confinement(sf: &SourceFile, cfg: &LintConfig, out: &mut Vec<Violation>) {
+    let allowed = cfg.unsafe_modules.contains(&sf.rel_path);
+    for i in 0..sf.tokens.len() {
+        if ident_at(sf, i) != Some("unsafe") {
+            continue;
+        }
+        let line = line_of(sf, i);
+        if !allowed {
+            push(
+                out,
+                "S001",
+                sf,
+                line,
+                format!(
+                    "`unsafe` outside the kernel modules ({}); keep the \
+                     workspace safe and put hardware kernels behind a safe, \
+                     feature-checked function there",
+                    join_set(&cfg.unsafe_modules)
+                ),
+            );
+        } else if ident_at(sf, i + 1) != Some("fn") && !sf.has_safety_comment(line) {
+            push(
+                out,
+                "S001",
+                sf,
+                line,
+                "`unsafe` block without a `// SAFETY:` comment on its line or \
+                 directly above it saying why it is sound"
+                    .to_string(),
+            );
+        }
+    }
+}
+
 // --- W001 + waiver application ---------------------------------------------
 
 fn reasonless_waivers(sf: &SourceFile, out: &mut Vec<Violation>) {
@@ -1033,7 +1085,7 @@ mod tests {
         let ids: Vec<&str> = catalog.iter().map(|r| r.id).collect();
         for id in [
             "D001", "D002", "D003", "D004", "C001", "C002", "C003", "C004", "L001", "L002", "E001",
-            "E002", "E003", "W001",
+            "E002", "E003", "S001", "W001",
         ] {
             assert!(ids.contains(&id), "catalog is missing {id}");
         }
@@ -1112,6 +1164,48 @@ mod tests {
         let src = "#[test]\nfn t() { Some(1).unwrap(); }";
         let vs = lint("scfs", "crates/scfs/src/x.rs", src);
         assert!(active(&vs, "E001").is_empty());
+    }
+
+    #[test]
+    fn s001_confines_unsafe_to_kernel_modules() {
+        let justified = "fn f(p: *const u8) -> u8 {\n\
+                         // SAFETY: the caller passes a valid pointer.\n\
+                         unsafe { *p } }";
+        let kernel = "crates/scfs-crypto/src/sha256/x86.rs";
+        assert!(active(&lint("scfs_crypto", kernel, justified), "S001").is_empty());
+        // The same code anywhere else, even in scfs-crypto, is flagged.
+        let vs = lint("scfs_crypto", "crates/scfs-crypto/src/sha256.rs", justified);
+        assert_eq!(active(&vs, "S001").len(), 1);
+        // Test code gets no exemption.
+        let in_test = format!("#[cfg(test)]\nmod tests {{\n{justified}\n}}");
+        let vs = lint("scfs", "crates/scfs/src/x.rs", &in_test);
+        assert_eq!(active(&vs, "S001").len(), 1);
+    }
+
+    #[test]
+    fn s001_requires_a_safety_comment_on_each_block() {
+        let kernel = "crates/scfs-crypto/src/gf256/x86.rs";
+        let bare = "fn f(p: *const u8) -> u8 { unsafe { *p } }";
+        assert_eq!(active(&lint("scfs_crypto", kernel, bare), "S001").len(), 1);
+        let two = "fn f(p: *const u8) -> u8 {\n\
+                   // SAFETY: valid pointer.\n\
+                   let a = unsafe { *p };\n\
+                   let b = unsafe { *p };\n\
+                   a ^ b }";
+        let vs = lint("scfs_crypto", kernel, two);
+        assert_eq!(active(&vs, "S001").len(), 1, "{vs:?}");
+        assert_eq!(active(&vs, "S001")[0].line, 4);
+        // A comment trailing one block does not justify the next line's.
+        let trailing = "fn f(p: *const u8) -> u8 {\n\
+                        let a = unsafe { *p }; // SAFETY: valid pointer.\n\
+                        let b = unsafe { *p };\n\
+                        a ^ b }";
+        let vs = lint("scfs_crypto", kernel, trailing);
+        assert_eq!(active(&vs, "S001").len(), 1, "{vs:?}");
+        assert_eq!(active(&vs, "S001")[0].line, 3);
+        // `unsafe fn` declarations are not blocks.
+        let decl = "#[target_feature(enable = \"avx2\")]\nunsafe fn g() {}";
+        assert!(active(&lint("scfs_crypto", kernel, decl), "S001").is_empty());
     }
 
     #[test]

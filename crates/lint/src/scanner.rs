@@ -17,6 +17,9 @@
 //!   line immediately below it, so it can sit at the end of the offending
 //!   line or on its own line above. A waiver without a reason is reported by
 //!   rule `W001` instead of being honoured.
+//! * **`SAFETY:` comments** are recorded with the lines they span, so the
+//!   `unsafe` rule can check that every `unsafe` block is justified by its
+//!   own comment.
 //! * **Test regions** — items under `#[cfg(test)]` or `#[test]` — are
 //!   marked token-by-token, so rules scoped to non-test code (the E-rules,
 //!   most D-rules) can skip them without a real parser.
@@ -78,12 +81,16 @@ pub struct SourceFile {
     pub test_mask: Vec<bool>,
     /// All waivers found in comments.
     pub waivers: Vec<Waiver>,
+    /// The first and last line of each comment containing `SAFETY:`, in
+    /// source order: the justification an `unsafe` block needs (rule
+    /// `S001`).
+    pub safety_comments: Vec<(u32, u32)>,
 }
 
 impl SourceFile {
     /// Scans `source`, attributing it to `rel_path` within `crate_name`.
     pub fn parse(rel_path: &str, crate_name: &str, source: &str) -> SourceFile {
-        let (tokens, waivers) = tokenize(source);
+        let (tokens, waivers, safety_comments) = tokenize(source);
         let test_mask = test_mask(&tokens);
         SourceFile {
             rel_path: rel_path.to_string(),
@@ -91,6 +98,7 @@ impl SourceFile {
             tokens,
             test_mask,
             waivers,
+            safety_comments,
         }
     }
 
@@ -98,14 +106,27 @@ impl SourceFile {
     pub fn is_test(&self, idx: usize) -> bool {
         self.test_mask.get(idx).copied().unwrap_or(false)
     }
+
+    /// Whether a `SAFETY:` comment justifies code on `line`: the comment
+    /// ends on that line, or it stands on lines of its own above it with
+    /// no code in between. A comment trailing code on an earlier line
+    /// justifies only that line.
+    pub fn has_safety_comment(&self, line: u32) -> bool {
+        self.safety_comments.iter().any(|&(start, end)| {
+            end == line
+                || (end < line && !self.tokens.iter().any(|t| t.line >= start && t.line < line))
+        })
+    }
 }
 
-/// Tokenizes Rust source, returning the token stream and any waivers found
-/// in comments. Never fails: unexpected bytes become `Punct` tokens.
-pub fn tokenize(source: &str) -> (Vec<Token>, Vec<Waiver>) {
+/// Tokenizes Rust source, returning the token stream, the waivers found in
+/// comments and the line spans of `SAFETY:` comments. Never fails:
+/// unexpected bytes become `Punct` tokens.
+pub fn tokenize(source: &str) -> (Vec<Token>, Vec<Waiver>, Vec<(u32, u32)>) {
     let bytes = source.as_bytes();
     let mut tokens = Vec::new();
     let mut waivers = Vec::new();
+    let mut safety = Vec::new();
     let mut i = 0usize;
     let mut line = 1u32;
     while i < bytes.len() {
@@ -122,6 +143,7 @@ pub fn tokenize(source: &str) -> (Vec<Token>, Vec<Waiver>) {
                     i += 1;
                 }
                 collect_waivers(&source[start..i], line, &mut waivers);
+                note_safety(&source[start..i], line, line, &mut safety);
             }
             b'/' if bytes.get(i + 1) == Some(&b'*') => {
                 let start = i;
@@ -143,6 +165,7 @@ pub fn tokenize(source: &str) -> (Vec<Token>, Vec<Waiver>) {
                     }
                 }
                 collect_waivers(&source[start..i], start_line, &mut waivers);
+                note_safety(&source[start..i], start_line, line, &mut safety);
             }
             b'r' | b'b' if starts_raw_or_byte_string(bytes, i) => {
                 let tok_line = line;
@@ -221,7 +244,13 @@ pub fn tokenize(source: &str) -> (Vec<Token>, Vec<Waiver>) {
             }
         }
     }
-    (tokens, waivers)
+    (tokens, waivers, safety)
+}
+
+fn note_safety(comment: &str, start_line: u32, end_line: u32, out: &mut Vec<(u32, u32)>) {
+    if comment.contains("SAFETY:") {
+        out.push((start_line, end_line));
+    }
 }
 
 fn is_ident_start(c: u8) -> bool {
@@ -585,7 +614,7 @@ mod tests {
     #[test]
     fn lifetimes_are_not_char_literals() {
         let src = "fn f<'a>(x: &'a str) -> &'a str { let c = 'x'; let n = '\\n'; x }";
-        let (tokens, _) = tokenize(src);
+        let (tokens, _, _) = tokenize(src);
         let lifetimes = tokens.iter().filter(|t| t.tok == Tok::Lifetime).count();
         let chars = tokens.iter().filter(|t| t.tok == Tok::Char).count();
         assert_eq!(lifetimes, 3);
@@ -604,7 +633,7 @@ mod tests {
     fn waivers_parse_with_rule_and_reason() {
         let src = "foo(); // scfs-lint: allow(E002, invariant: index is in bounds)\n\
                    // scfs-lint: allow(D004)\n";
-        let (_, waivers) = tokenize(src);
+        let (_, waivers, _) = tokenize(src);
         assert_eq!(waivers.len(), 2);
         assert_eq!(waivers[0].rule, "E002");
         assert_eq!(waivers[0].reason, "invariant: index is in bounds");
@@ -630,6 +659,38 @@ mod tests {
         assert!(!unwraps[0].1, "live code is not masked");
         assert!(unwraps[1].1, "cfg(test) mod is masked");
         assert!(unwraps[2].1, "#[test] fn is masked");
+    }
+
+    #[test]
+    fn safety_comments_cover_the_code_directly_below() {
+        let src = "// SAFETY: one\n\
+                   // continued\n\
+                   unsafe { a() }\n\
+                   unsafe { b() }\n\
+                   /* SAFETY: block\n   comment */\n\
+                   \n\
+                   let x = unsafe { c() };\n\
+                   let s = \"// SAFETY: in a string\";\n\
+                   unsafe { d() }\n\
+                   let y = unsafe { e() }; // SAFETY: trailing\n\
+                   let z = unsafe { f() };\n";
+        let sf = SourceFile::parse("f.rs", "demo", src);
+        assert_eq!(sf.safety_comments, vec![(1, 1), (5, 6), (11, 11)]);
+        assert!(sf.has_safety_comment(3), "two comment lines above");
+        assert!(!sf.has_safety_comment(4), "code in between");
+        assert!(
+            sf.has_safety_comment(8),
+            "block comment and a blank line above"
+        );
+        assert!(!sf.has_safety_comment(10), "a string is not a comment");
+        assert!(
+            sf.has_safety_comment(11),
+            "a trailing comment covers its line"
+        );
+        assert!(
+            !sf.has_safety_comment(12),
+            "a trailing comment does not cover the next line"
+        );
     }
 
     #[test]

@@ -99,6 +99,25 @@ fn error_fixtures() {
     assert!(neg.iter().any(|v| v.rule == "E001" && v.waived.is_some()));
 }
 
+#[test]
+fn unsafe_fixtures() {
+    let lint_as = |name: &str, rel: &str| {
+        let sf = SourceFile::parse(rel, "scfs_crypto", &fixture(name));
+        lint_file(&sf, &LintConfig::default())
+    };
+    let s001 = |vs: &[Violation]| vs.iter().filter(|v| v.rule == "S001").count();
+    let kernel = "crates/scfs-crypto/src/sha256/x86.rs";
+    let elsewhere = "crates/scfs-crypto/src/sha256.rs";
+
+    let pos = lint_as("unsafe_positive.rs", kernel);
+    assert_eq!(s001(&pos), 2, "the two unjustified blocks: {pos:?}");
+    assert_eq!(s001(&lint_as("unsafe_positive.rs", elsewhere)), 4);
+
+    let neg = lint_as("unsafe_negative.rs", kernel);
+    assert!(active_rules(&neg).is_empty(), "false positives: {neg:?}");
+    assert_eq!(s001(&lint_as("unsafe_negative.rs", elsewhere)), 2);
+}
+
 /// Builds a minimal fake workspace on disk under the cargo test tmpdir.
 fn synth_workspace(name: &str, files: &[(&str, &str)]) -> PathBuf {
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);

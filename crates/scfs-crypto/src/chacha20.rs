@@ -6,6 +6,13 @@
 //! fast in pure Rust and — because it is a stream cipher — the ciphertext has
 //! exactly the same length as the plaintext, which keeps the storage-overhead
 //! accounting of the cost experiments (Figure 11(c)) faithful.
+//!
+//! On x86-64 CPUs with AVX2, checked at run time, the keystream is made
+//! eight blocks at a time in vector registers; elsewhere one block at a time
+//! in scalar code. Both produce the same bytes.
+
+#[cfg(target_arch = "x86_64")]
+mod x86;
 
 /// ChaCha20 cipher instance bound to a 256-bit key and 96-bit nonce.
 #[derive(Debug, Clone)]
@@ -32,6 +39,15 @@ impl ChaCha20 {
     /// ChaCha20 is an involution under the same (key, nonce, counter), so the
     /// same call decrypts.
     pub fn apply_keystream(&self, counter: u32, data: &mut [u8]) {
+        #[cfg(target_arch = "x86_64")]
+        if x86::apply_keystream(&self.state(counter), data) {
+            return;
+        }
+        self.apply_keystream_scalar(counter, data);
+    }
+
+    /// The portable [`ChaCha20::apply_keystream`], one block at a time.
+    fn apply_keystream_scalar(&self, counter: u32, data: &mut [u8]) {
         let mut block_counter = counter;
         for chunk in data.chunks_mut(64) {
             let keystream = self.block(block_counter);
@@ -55,10 +71,10 @@ impl ChaCha20 {
         self.encrypt(ciphertext)
     }
 
-    /// Produces one 64-byte keystream block.
-    fn block(&self, counter: u32) -> [u8; 64] {
+    /// The 16-word input block for block number `counter`.
+    fn state(&self, counter: u32) -> [u32; 16] {
         // "expand 32-byte k" constants.
-        let mut state = [
+        [
             0x61707865u32,
             0x3320646e,
             0x79622d32,
@@ -75,7 +91,12 @@ impl ChaCha20 {
             self.nonce[0],
             self.nonce[1],
             self.nonce[2],
-        ];
+        ]
+    }
+
+    /// Produces one 64-byte keystream block.
+    fn block(&self, counter: u32) -> [u8; 64] {
+        let mut state = self.state(counter);
         let initial = state;
 
         for _ in 0..10 {
@@ -138,6 +159,24 @@ mod tests {
     }
 
     #[test]
+    fn rfc8439_encryption_vector() {
+        // RFC 8439 §2.4.2: the "sunscreen" example at initial counter 1.
+        let key: [u8; 32] = std::array::from_fn(|i| i as u8);
+        let c = ChaCha20::new(&key, &[0, 0, 0, 0, 0, 0, 0, 0x4a, 0, 0, 0, 0]);
+        let plaintext = b"Ladies and Gentlemen of the class of '99: If I could offer you \
+only one tip for the future, sunscreen would be it.";
+        let want = "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b\
+                    f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8\
+                    07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736\
+                    5af90bbf74a35be6b40b8eedf2785e42874d";
+        assert_eq!(plaintext.len(), 114);
+        assert_eq!(crate::to_hex(&c.encrypt(plaintext)), want);
+        let mut scalar = plaintext.to_vec();
+        c.apply_keystream_scalar(1, &mut scalar);
+        assert_eq!(crate::to_hex(&scalar), want);
+    }
+
+    #[test]
     fn encrypt_decrypt_round_trip() {
         let c = cipher(0xAB);
         let plaintext = b"the quick brown fox jumps over the lazy dog".to_vec();
@@ -184,6 +223,29 @@ mod tests {
         fn prop_round_trip(data in proptest::collection::vec(any::<u8>(), 0..2048), key_byte in any::<u8>()) {
             let c = cipher(key_byte);
             prop_assert_eq!(c.decrypt(&c.encrypt(&data)), data);
+        }
+
+        #[test]
+        fn prop_matches_scalar_at_any_offset_and_split(
+            data in proptest::collection::vec(any::<u8>(), 0..4096),
+            offset in 0usize..64,
+            split_blocks in 0usize..64,
+            counter in any::<u32>(),
+        ) {
+            let c = cipher(0x3c);
+            let data = &data[offset.min(data.len())..];
+            let mut scalar = data.to_vec();
+            c.apply_keystream_scalar(counter, &mut scalar);
+            let mut whole = data.to_vec();
+            c.apply_keystream(counter, &mut whole);
+            prop_assert_eq!(&whole, &scalar);
+            // Two calls split at a block boundary continue the counter.
+            let split = (split_blocks * 64).min(data.len());
+            let mut parts = data.to_vec();
+            let (head, tail) = parts.split_at_mut(split);
+            c.apply_keystream(counter, head);
+            c.apply_keystream(counter.wrapping_add(split_blocks as u32), tail);
+            prop_assert_eq!(&parts, &scalar);
         }
 
         #[test]

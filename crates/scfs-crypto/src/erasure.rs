@@ -12,7 +12,7 @@
 //! parity. Reconstruction selects any `k` available shards, inverts the
 //! corresponding `k × k` sub-matrix and multiplies.
 
-use crate::gf256::Matrix;
+use crate::gf256::{self, Matrix};
 
 /// Errors returned by the erasure coder.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -158,15 +158,10 @@ impl ErasureCoder {
         }
         // Generate parity shards.
         for p in 0..self.parity_shards {
-            let row = self.encode_matrix.row(self.data_shards + p).to_vec();
             let mut parity = vec![0u8; shard_size];
-            for (j, coeff) in row.iter().enumerate() {
-                if *coeff == 0 {
-                    continue;
-                }
-                for (b, &d) in parity.iter_mut().zip(shards[j].iter()) {
-                    *b ^= crate::gf256::mul(*coeff, d);
-                }
+            let row = self.encode_matrix.row(self.data_shards + p);
+            for (shard, &coeff) in shards.iter().zip(row) {
+                gf256::mul_add_slice(coeff, shard, &mut parity);
             }
             shards.push(parity);
         }
@@ -228,14 +223,8 @@ impl ErasureCoder {
                 .map(|r| {
                     let mut out = vec![0u8; shard_size];
                     for (c, &src) in chosen.iter().enumerate() {
-                        let coeff = decode_matrix.get(r, c);
-                        if coeff == 0 {
-                            continue;
-                        }
                         let shard = shards[src].as_ref().expect("chosen shards are present");
-                        for (o, &s) in out.iter_mut().zip(shard.iter()) {
-                            *o ^= crate::gf256::mul(coeff, s);
-                        }
+                        gf256::mul_add_slice(decode_matrix.get(r, c), shard, &mut out);
                     }
                     out
                 })
@@ -303,6 +292,36 @@ mod tests {
                     c.decode(&shards, data.len()).unwrap(),
                     data,
                     "failed with shards {i} and {j}"
+                );
+            }
+        }
+    }
+
+    /// Every `k`-element subset of `0..n`, as sorted index lists.
+    fn k_subsets(n: usize, k: usize) -> Vec<Vec<usize>> {
+        (0u32..1 << n)
+            .filter(|mask| mask.count_ones() as usize == k)
+            .map(|mask| (0..n).filter(|i| mask & (1 << i) != 0).collect())
+            .collect()
+    }
+
+    #[test]
+    fn decode_works_from_every_k_subset() {
+        for (k, m) in [(1, 3), (2, 2), (3, 2), (3, 4), (4, 6)] {
+            let c = ErasureCoder::new(k, m).unwrap();
+            // A length that is not a multiple of k, so the last data shard
+            // is zero-padded.
+            let data = sample_data(1000 * k + 37);
+            let encoded = c.encode(&data);
+            for subset in k_subsets(k + m, k) {
+                let mut shards: Vec<Option<Vec<u8>>> = vec![None; k + m];
+                for &i in &subset {
+                    shards[i] = Some(encoded[i].clone());
+                }
+                assert_eq!(
+                    c.decode(&shards, data.len()).unwrap(),
+                    data,
+                    "k = {k}, m = {m}, shards {subset:?}"
                 );
             }
         }

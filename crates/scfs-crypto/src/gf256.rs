@@ -5,10 +5,14 @@
 //! GF(2⁸) with the reduction polynomial `x⁸ + x⁴ + x³ + x² + 1` (0x11d), the
 //! same field used by the original Jerasure/DepSky implementations.
 //!
-//! Multiplication and division use precomputed log/antilog tables built at
-//! first use; addition and subtraction are both XOR.
+//! Multiplication and division use log/antilog tables built at compile
+//! time; addition and subtraction are both XOR. The erasure coder's bulk
+//! work is [`mul_add_slice`], which multiplies a whole shard by one
+//! coefficient: split-nibble `pshufb` lookups on x86-64 CPUs with SSSE3
+//! (checked at run time), a 256-entry product table elsewhere.
 
-use std::sync::OnceLock;
+#[cfg(target_arch = "x86_64")]
+mod x86;
 
 /// The reduction polynomial for the field (x⁸ + x⁴ + x³ + x² + 1).
 pub const POLY: u16 = 0x11d;
@@ -21,28 +25,31 @@ struct Tables {
     log: [u8; 256],
 }
 
-fn tables() -> &'static Tables {
-    static TABLES: OnceLock<Tables> = OnceLock::new();
-    TABLES.get_or_init(|| {
+impl Tables {
+    const fn build() -> Tables {
         let mut exp = [0u8; 512];
         let mut log = [0u8; 256];
         let mut x: u16 = 1;
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..255 {
+        let mut i = 0;
+        while i < 255 {
             exp[i] = x as u8;
             log[x as usize] = i as u8;
             x <<= 1;
             if x & 0x100 != 0 {
                 x ^= POLY;
             }
+            i += 1;
         }
         // Duplicate so mul can index exp[log a + log b] without a modulo.
-        for i in 255..512 {
+        while i < 512 {
             exp[i] = exp[i - 255];
+            i += 1;
         }
         Tables { exp, log }
-    })
+    }
 }
+
+static TABLES: Tables = Tables::build();
 
 /// Addition in GF(2⁸): XOR.
 #[inline]
@@ -62,7 +69,7 @@ pub fn mul(a: u8, b: u8) -> u8 {
     if a == 0 || b == 0 {
         return 0;
     }
-    let t = tables();
+    let t = &TABLES;
     t.exp[t.log[a as usize] as usize + t.log[b as usize] as usize]
 }
 
@@ -74,7 +81,7 @@ pub fn mul(a: u8, b: u8) -> u8 {
 #[inline]
 pub fn inv(a: u8) -> u8 {
     assert!(a != 0, "zero has no multiplicative inverse in GF(256)");
-    let t = tables();
+    let t = &TABLES;
     t.exp[255 - t.log[a as usize] as usize]
 }
 
@@ -89,7 +96,7 @@ pub fn div(a: u8, b: u8) -> u8 {
     if a == 0 {
         return 0;
     }
-    let t = tables();
+    let t = &TABLES;
     let log_a = t.log[a as usize] as usize;
     let log_b = t.log[b as usize] as usize;
     t.exp[(log_a + 255 - log_b) % 255]
@@ -103,7 +110,7 @@ pub fn pow(base: u8, exp: u32) -> u8 {
     if base == 0 {
         return 0;
     }
-    let t = tables();
+    let t = &TABLES;
     let log_b = t.log[base as usize] as u64;
     let e = (log_b * exp as u64) % 255;
     t.exp[e as usize]
@@ -117,6 +124,53 @@ pub fn poly_eval(coefficients: &[u8], x: u8) -> u8 {
         acc = add(mul(acc, x), c);
     }
     acc
+}
+
+/// Multiply-accumulate over a slice: `dst[i] ^= coeff · src[i]` for every
+/// `i`. This is the inner loop of Reed–Solomon encoding and decoding.
+///
+/// # Panics
+///
+/// Panics if `src` and `dst` have different lengths.
+pub fn mul_add_slice(coeff: u8, src: &[u8], dst: &mut [u8]) {
+    assert_eq!(
+        src.len(),
+        dst.len(),
+        "mul_add_slice operands differ in length"
+    );
+    match coeff {
+        0 => {}
+        1 => dst.iter_mut().zip(src).for_each(|(d, s)| *d ^= s),
+        _ => {
+            #[cfg(target_arch = "x86_64")]
+            let done = x86::mul_add_prefix(coeff, src, dst);
+            #[cfg(not(target_arch = "x86_64"))]
+            let done = 0;
+            mul_add_scalar(coeff, &src[done..], &mut dst[done..]);
+        }
+    }
+}
+
+/// The portable [`mul_add_slice`]: one lookup in a 256-entry product table
+/// per byte.
+fn mul_add_scalar(coeff: u8, src: &[u8], dst: &mut [u8]) {
+    if src.is_empty() {
+        return;
+    }
+    let (lo, hi) = nibble_tables(coeff);
+    let products: [u8; 256] = std::array::from_fn(|x| lo[x & 0x0f] ^ hi[x >> 4]);
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d ^= products[s as usize];
+    }
+}
+
+/// `coeff · x` for the 16 values of each nibble: `coeff · b` is
+/// `lo[b & 0xf] ^ hi[b >> 4]`, because multiplication distributes over XOR.
+fn nibble_tables(coeff: u8) -> ([u8; 16], [u8; 16]) {
+    (
+        std::array::from_fn(|i| mul(coeff, i as u8)),
+        std::array::from_fn(|i| mul(coeff, (i as u8) << 4)),
+    )
 }
 
 /// A dense matrix over GF(2⁸), used by the erasure coder for encoding and
@@ -383,6 +437,35 @@ mod tests {
         let sel = m.select_rows(&[2, 0]);
         assert_eq!(sel.row(0), &[5, 6]);
         assert_eq!(sel.row(1), &[1, 2]);
+    }
+
+    #[test]
+    fn mul_add_slice_matches_mul_for_every_coefficient_and_tail() {
+        for coeff in 0..=255u8 {
+            for len in 0..=67u8 {
+                let src: Vec<u8> = (0..len)
+                    .map(|i| i.wrapping_mul(coeff | 1) ^ coeff)
+                    .collect();
+                let dst: Vec<u8> = src.iter().map(|b| b.rotate_left(3) ^ 0x5a).collect();
+                let want: Vec<u8> = dst
+                    .iter()
+                    .zip(&src)
+                    .map(|(&d, &s)| d ^ mul(coeff, s))
+                    .collect();
+                let mut got = dst.clone();
+                mul_add_slice(coeff, &src, &mut got);
+                assert_eq!(got, want, "coeff {coeff}, len {len}");
+                let mut scalar = dst.clone();
+                mul_add_scalar(coeff, &src, &mut scalar);
+                assert_eq!(scalar, want, "scalar: coeff {coeff}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in length")]
+    fn mul_add_slice_rejects_mismatched_lengths() {
+        mul_add_slice(3, &[1, 2], &mut [0]);
     }
 
     proptest! {

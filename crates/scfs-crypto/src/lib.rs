@@ -10,9 +10,9 @@
 //! This crate implements all of those primitives from scratch so that the
 //! workspace has no external cryptography dependencies:
 //!
-//! * [`sha256()`] and [`sha1()`] — collision-resistant hashes (the paper uses
-//!   SHA-1 for metadata tuples; we provide SHA-256 as the default and SHA-1
-//!   for fidelity).
+//! * [`sha256()`] — the collision-resistant hash (the paper's prototype uses
+//!   SHA-1 for metadata tuples; SHA-1 is no longer collision resistant, so
+//!   the reproduction uses SHA-256 throughout).
 //! * [`chacha20`] — a stream cipher used to encrypt file contents before
 //!   they are dispersed to the clouds.
 //! * [`gf256`] — arithmetic over GF(2⁸), the base field for both the erasure
@@ -21,6 +21,13 @@
 //!   `m` parity blocks; any `k` blocks reconstruct the data).
 //! * [`shamir`] — Shamir secret sharing for the file encryption keys.
 //! * [`keys`] — deterministic-for-testing key generation.
+//!
+//! The three bulk kernels — the SHA-256 compression function, the GF(2⁸)
+//! multiply-accumulate behind the erasure code, and the ChaCha20 keystream —
+//! check the CPU's features once per call and use x86-64 SHA-NI, AVX2 or
+//! SSSE3 when present, with portable scalar code as the fallback. Every path
+//! produces identical bytes. The `unsafe` those paths need is confined to
+//! the `x86` submodules of [`mod@sha256`], [`gf256`] and [`mod@chacha20`].
 //!
 //! None of this code is intended for production cryptographic use; it exists
 //! to faithfully reproduce the *system behaviour* (sizes, overheads, failure
@@ -31,14 +38,12 @@ pub mod erasure;
 pub mod gf256;
 pub mod hmac;
 pub mod keys;
-pub mod sha1;
 pub mod sha256;
 pub mod shamir;
 
 pub use chacha20::ChaCha20;
 pub use erasure::{ErasureCoder, ErasureError};
 pub use keys::KeyGenerator;
-pub use sha1::sha1;
 pub use sha256::{sha256, sha256_hex, Sha256};
 pub use shamir::{combine_shares, split_secret, ShamirError, Share};
 

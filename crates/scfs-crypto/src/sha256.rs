@@ -2,6 +2,13 @@
 //!
 //! Used as the collision-resistant hash in the consistency-anchor algorithm
 //! (paper §2.4, Figure 3) and as the content hash stored in DepSky metadata.
+//!
+//! The compression function runs on the x86-64 SHA extensions (SHA-NI) when
+//! the CPU has them, checked at run time, and on portable scalar code
+//! otherwise. Both produce the same digest.
+
+#[cfg(target_arch = "x86_64")]
+mod x86;
 
 /// Incremental SHA-256 hasher.
 #[derive(Debug, Clone)]
@@ -44,43 +51,38 @@ impl Sha256 {
         let mut input = data;
 
         if self.buffer_len > 0 {
-            let need = 64 - self.buffer_len;
-            let take = need.min(input.len());
+            let take = (64 - self.buffer_len).min(input.len());
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&input[..take]);
             self.buffer_len += take;
             input = &input[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
+            if self.buffer_len < 64 {
+                return;
             }
+            compress(&mut self.state, &self.buffer);
+            self.buffer_len = 0;
         }
 
-        while input.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&input[..64]);
-            self.compress(&block);
-            input = &input[64..];
-        }
-
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffer_len = input.len();
-        }
+        // Every whole block goes to the compression function in one call,
+        // straight from the caller's slice.
+        let whole = input.len() - input.len() % 64;
+        compress(&mut self.state, &input[..whole]);
+        let rest = &input[whole..];
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffer_len = rest.len();
     }
 
     /// Finalizes the hash and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
+        // Padding: 0x80, zeros to 56 mod 64, then the 8-byte big-endian bit
+        // length; one block, or two when the buffered tail leaves no room.
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80 then zeros until 56 mod 64, then 8-byte big-endian length.
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0x00]);
-        }
-        // Write the length directly into the buffer and compress.
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        self.compress(&block);
+        let n = self.buffer_len;
+        let mut tail = [0u8; 128];
+        tail[..n].copy_from_slice(&self.buffer[..n]);
+        tail[n] = 0x80;
+        let len = if n < 56 { 64 } else { 128 };
+        tail[len - 8..len].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &tail[..len]);
 
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -88,16 +90,25 @@ impl Sha256 {
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// Runs the compression function over `blocks`, a whole number of 64-byte
+/// blocks, on the fastest path the CPU supports.
+fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert!(blocks.len().is_multiple_of(64));
+    #[cfg(target_arch = "x86_64")]
+    if x86::compress(state, blocks) {
+        return;
+    }
+    compress_scalar(state, blocks);
+}
+
+/// The portable compression function.
+fn compress_scalar(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
+        for (i, word) in block.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -108,7 +119,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
 
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
@@ -132,14 +143,9 @@ impl Sha256 {
             a = temp1.wrapping_add(temp2);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
     }
 }
 
@@ -191,6 +197,47 @@ mod tests {
     }
 
     #[test]
+    fn one_million_a_vector() {
+        // FIPS 180 long-message vector: 10⁶ repetitions of 'a'.
+        let data = vec![b'a'; 1_000_000];
+        let want = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
+        assert_eq!(sha256_hex(&data), want);
+        let mut scalar = INIT;
+        compress_scalar(&mut scalar, &data[..999_936]);
+        let mut h = Sha256::new();
+        h.update(&data[..999_936]);
+        assert_eq!(h.state, scalar);
+    }
+
+    #[test]
+    fn padding_boundaries_match_scalar() {
+        // Tails of 55, 56 and 63 bytes straddle the one/two-block padding cut.
+        for len in [0usize, 1, 55, 56, 57, 63, 64, 65, 119, 120, 128] {
+            let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            assert_eq!(sha256(&data), scalar_digest(&data), "len {len}");
+        }
+    }
+
+    /// The digest computed with the scalar compression function only.
+    fn scalar_digest(data: &[u8]) -> [u8; 32] {
+        let mut state = INIT;
+        let whole = data.len() - data.len() % 64;
+        compress_scalar(&mut state, &data[..whole]);
+        let mut tail = data[whole..].to_vec();
+        tail.push(0x80);
+        while tail.len() % 64 != 56 {
+            tail.push(0);
+        }
+        tail.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        compress_scalar(&mut state, &tail);
+        let mut out = [0u8; 32];
+        for (o, w) in out.chunks_exact_mut(4).zip(state) {
+            o.copy_from_slice(&w.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
     fn incremental_matches_one_shot() {
         let data: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
         let mut h = Sha256::new();
@@ -213,6 +260,20 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             prop_assert_eq!(h.finalize(), sha256(&data));
+        }
+
+        #[test]
+        fn prop_matches_scalar_at_any_offset_and_split(
+            data in proptest::collection::vec(any::<u8>(), 0..4096),
+            offset in 0usize..64,
+            split in 0usize..4096,
+        ) {
+            let data = &data[offset.min(data.len())..];
+            let split = split.min(data.len());
+            let mut h = Sha256::new();
+            h.update(&data[..split]);
+            h.update(&data[split..]);
+            prop_assert_eq!(h.finalize(), scalar_digest(data));
         }
 
         #[test]
