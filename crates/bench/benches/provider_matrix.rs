@@ -85,7 +85,7 @@ struct RunOutcome {
     slo_compliance: f64,
 }
 
-fn fleet_config(policy: PolicyKind, mounts: usize) -> FleetConfig {
+fn fleet_config(mounts: usize) -> FleetConfig {
     let mut cfg = FleetConfig::smoke(Backend::CloudOfClouds);
     cfg.mounts = mounts;
     cfg.teams = 4.min(mounts);
@@ -96,20 +96,16 @@ fn fleet_config(policy: PolicyKind, mounts: usize) -> FleetConfig {
     cfg.mean_think = SimDuration::from_secs(20);
     // Near-zero caches: reads must reach the clouds, or the sweep would
     // measure the cache instead of the placement.
-    cfg.scfs = ScfsConfig::test(Mode::Blocking)
-        .with_cache_capacities(Bytes::new(1), Bytes::new(1))
-        .with_placement_policy(policy);
+    cfg.scfs = ScfsConfig::test(Mode::Blocking).with_cache_capacities(Bytes::new(1), Bytes::new(1));
     cfg.seed = 0x4D41_5452;
     cfg
 }
 
 fn run_sweep(policy: PolicyKind, sweep: Sweep, mounts: usize) -> RunOutcome {
-    let cfg = fleet_config(policy, mounts);
-    // The environment consumes the config's placement knob — the same knob
-    // an SCFS deployment would set via `with_placement_policy`.
+    let cfg = fleet_config(mounts);
     let menv = MatrixEnv::coc_matrix(
         sweep.profiles(),
-        cfg.scfs.placement,
+        policy,
         WIDTH,
         WRITE_WAIT,
         cfg.mode,

@@ -2,8 +2,9 @@
 //!
 //! The real deliverable of this crate is the [`reproduce`](../reproduce)
 //! binary, which regenerates every table and figure of the paper's
-//! evaluation on the simulated substrate, plus one Criterion bench target per
-//! table/figure that exercises the same harnesses on reduced workloads.
+//! evaluation on the simulated substrate (`--quick` runs the same harnesses
+//! on reduced workloads), plus the bench targets that append the committed
+//! perf trajectory.
 
 use workloads::results::Table;
 

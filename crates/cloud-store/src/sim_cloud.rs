@@ -20,7 +20,6 @@ use parking_lot::Mutex;
 use sim_core::fault::{FaultDecision, FaultInjector, FaultPlan};
 use sim_core::rng::DetRng;
 use sim_core::time::{SimDuration, SimInstant};
-use sim_core::trace::{TraceCategory, Tracer};
 use sim_core::units::Bytes;
 
 use crate::error::StorageError;
@@ -63,7 +62,6 @@ pub struct SimulatedCloud {
     faults: Mutex<FaultInjector>,
     metrics: CloudMetrics,
     ledger: CostLedger,
-    tracer: Tracer,
 }
 
 impl SimulatedCloud {
@@ -76,7 +74,6 @@ impl SimulatedCloud {
             faults: Mutex::new(FaultInjector::inert()),
             metrics: CloudMetrics::new(),
             ledger: CostLedger::new(),
-            tracer: Tracer::new(),
         }
     }
 
@@ -105,11 +102,6 @@ impl SimulatedCloud {
     /// Access to the per-account cost ledger.
     pub fn ledger(&self) -> &CostLedger {
         &self.ledger
-    }
-
-    /// Access to the tracer (disabled by default).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// Number of objects currently stored (including invisible versions).
@@ -174,26 +166,6 @@ impl SimulatedCloud {
         self.ledger.charge(account, ChargeKind::Request, cost);
     }
 
-    fn trace(
-        &self,
-        op: &str,
-        key: &str,
-        start: SimInstant,
-        latency: SimDuration,
-        bytes: Bytes,
-        ok: bool,
-    ) {
-        self.tracer.record_op(
-            TraceCategory::CloudStorage,
-            op,
-            key,
-            start,
-            latency,
-            bytes,
-            ok,
-        );
-    }
-
     /// Checks that `account` may access `record` with `perm`.
     fn check_access(
         record: &ObjectRecord,
@@ -233,7 +205,6 @@ impl ObjectStore for SimulatedCloud {
         match self.fault_decision(start) {
             FaultDecision::Unavailable => {
                 self.metrics.record_error();
-                self.trace("put", key, start, latency, size, false);
                 return Err(StorageError::unavailable(&self.profile.name));
             }
             FaultDecision::Corrupt | FaultDecision::Allow => {}
@@ -272,7 +243,6 @@ impl ObjectStore for SimulatedCloud {
             ChargeKind::Inbound,
             self.profile.prices.upload_cost(size),
         );
-        self.trace("put", key, start, latency, size, true);
         Ok(())
     }
 
@@ -301,7 +271,6 @@ impl ObjectStore for SimulatedCloud {
         match self.fault_decision(start) {
             FaultDecision::Unavailable => {
                 self.metrics.record_error();
-                self.trace("get", key, start, latency, Bytes::ZERO, false);
                 Err(StorageError::unavailable(&self.profile.name))
             }
             decision => {
@@ -309,7 +278,6 @@ impl ObjectStore for SimulatedCloud {
                     Some(t) => t,
                     None => {
                         self.metrics.record_error();
-                        self.trace("get", key, start, latency, Bytes::ZERO, false);
                         return Err(StorageError::not_found(key));
                     }
                 };
@@ -327,7 +295,6 @@ impl ObjectStore for SimulatedCloud {
                         // Object exists but no version is visible yet
                         // (eventual consistency window).
                         self.metrics.record_error();
-                        self.trace("get", key, start, latency, Bytes::ZERO, false);
                         return Err(StorageError::not_found(key));
                     }
                 };
@@ -343,7 +310,6 @@ impl ObjectStore for SimulatedCloud {
                     ChargeKind::Outbound,
                     self.profile.prices.download_cost(size),
                 );
-                self.trace("get", key, start, latency, size, true);
                 Ok(data)
             }
         }
@@ -399,7 +365,6 @@ impl ObjectStore for SimulatedCloud {
 
         self.metrics.record_delete();
         self.charge_request(&ctx.account, self.profile.prices.delete_op_cost());
-        self.trace("delete", key, start, latency, Bytes::ZERO, true);
         Ok(())
     }
 

@@ -73,7 +73,7 @@ pub enum Command {
 }
 
 impl Command {
-    /// A short operation name for tracing.
+    /// A short operation name.
     pub fn name(&self) -> &'static str {
         match self {
             Command::Put { .. } => "put",

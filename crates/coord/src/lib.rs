@@ -46,8 +46,9 @@
 //!
 //! The plane's shape is `shards × replicas`, configured by
 //! [`sharded::ShardTopology`] (shard count + per-group
-//! [`replication::ReplicationConfig`]), surfaced to SCFS through
-//! `ScfsConfig::metadata_shards` and to cost/capacity analyses through
+//! [`replication::ReplicationConfig`]); a harness mounts SCFS agents on the
+//! plane it builds (`workloads::setup::SharedScfsEnv::with_topology`), and
+//! cost/capacity analyses read the shape through
 //! [`deployment::CoordDeployment::shards`]. Each replica models single-server
 //! queueing, so one group saturates at roughly `1 / processing_time`
 //! regardless of replica count — throughput scales with *shards*, fault

@@ -26,8 +26,6 @@ use sim_core::fault::{FaultDecision, FaultInjector, FaultPlan};
 use sim_core::latency::LatencyModel;
 use sim_core::rng::DetRng;
 use sim_core::time::{SimDuration, SimInstant};
-use sim_core::trace::{TraceCategory, Tracer};
-use sim_core::units::Bytes;
 
 use crate::commands::{Command, Reply, SignedCommand};
 use crate::error::CoordError;
@@ -224,7 +222,6 @@ pub struct ReplicatedCoordinator {
     replica_faults: Vec<Mutex<FaultInjector>>,
     rng: Mutex<DetRng>,
     accesses: AtomicU64,
-    tracer: Tracer,
 }
 
 impl ReplicatedCoordinator {
@@ -249,7 +246,6 @@ impl ReplicatedCoordinator {
             replica_faults,
             rng: Mutex::new(DetRng::new(seed)),
             accesses: AtomicU64::new(0),
-            tracer: Tracer::new(),
         }
     }
 
@@ -271,11 +267,6 @@ impl ReplicatedCoordinator {
     /// The deployment configuration.
     pub fn config(&self) -> &ReplicationConfig {
         &self.config
-    }
-
-    /// The tracer (disabled by default).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// Mean latency of one update operation, useful for calibration tests.
@@ -378,15 +369,6 @@ impl ReplicatedCoordinator {
         let (responsive, corrupt) = self.poll_replicas(start);
         let honest = responsive - corrupt;
         if honest < self.config.mode.write_quorum() {
-            self.tracer.record_op(
-                TraceCategory::Coordination,
-                command.name(),
-                "",
-                start,
-                latency,
-                Bytes::ZERO,
-                false,
-            );
             return Err(CoordError::unavailable(format!(
                 "only {honest} of {} replicas available",
                 self.config.replicas.len()
@@ -397,24 +379,13 @@ impl ReplicatedCoordinator {
             issuer: ctx.account.clone(),
             command,
         };
-        let reply = self.store.lock().apply(&signed, committed_at);
-        self.tracer.record_op(
-            TraceCategory::Coordination,
-            signed.command.name(),
-            "",
-            start,
-            latency,
-            Bytes::ZERO,
-            !matches!(reply, Reply::Error(_)),
-        );
-        Ok(reply)
+        Ok(self.store.lock().apply(&signed, committed_at))
     }
 
     /// Runs a read-only query with reply voting.
     fn query<T>(
         &self,
         ctx: &mut OpCtx<'_>,
-        op: &str,
         f: impl FnOnce(&TupleStore, SimInstant) -> Result<T, CoordError>,
     ) -> Result<T, CoordError> {
         self.count_access();
@@ -425,31 +396,12 @@ impl ReplicatedCoordinator {
         let (responsive, corrupt) = self.poll_replicas(start);
         let honest = responsive - corrupt;
         if honest < self.config.mode.reply_quorum() {
-            self.tracer.record_op(
-                TraceCategory::Coordination,
-                op,
-                "",
-                start,
-                latency,
-                Bytes::ZERO,
-                false,
-            );
             return Err(CoordError::unavailable(format!(
                 "only {honest} matching replies of {} needed",
                 self.config.mode.reply_quorum()
             )));
         }
-        let result = f(&self.store.lock(), read_at);
-        self.tracer.record_op(
-            TraceCategory::Coordination,
-            op,
-            "",
-            start,
-            latency,
-            Bytes::ZERO,
-            result.is_ok(),
-        );
-        result
+        f(&self.store.lock(), read_at)
     }
 }
 
@@ -522,7 +474,7 @@ impl CoordinationService for ReplicatedCoordinator {
 
     fn get(&self, ctx: &mut OpCtx<'_>, key: &str) -> Result<Entry, CoordError> {
         let account = ctx.account.clone();
-        self.query(ctx, "get", |store, now| store.get(key, &account, now))
+        self.query(ctx, |store, now| store.get(key, &account, now))
     }
 
     fn delete(&self, ctx: &mut OpCtx<'_>, key: &str) -> Result<(), CoordError> {
@@ -537,9 +489,7 @@ impl CoordinationService for ReplicatedCoordinator {
 
     fn list(&self, ctx: &mut OpCtx<'_>, prefix: &str) -> Result<Vec<String>, CoordError> {
         let account = ctx.account.clone();
-        self.query(ctx, "list", |store, now| {
-            Ok(store.list(prefix, &account, now))
-        })
+        self.query(ctx, |store, now| Ok(store.list(prefix, &account, now)))
     }
 
     fn set_acl(&self, ctx: &mut OpCtx<'_>, key: &str, acl: Acl) -> Result<(), CoordError> {

@@ -99,7 +99,6 @@ impl Default for LintConfig {
                 "cloud_store",
                 "scfs_crypto",
                 "depsky",
-                "placement",
                 "coord",
                 "parking_lot",
             ],
@@ -127,7 +126,6 @@ impl Default for LintConfig {
                 "sim_core",
                 "cloud_store",
                 "workloads",
-                "criterion",
                 "coord",
                 "scfs",
                 "placement",
@@ -181,11 +179,7 @@ impl Default for LintConfig {
                       scfs::transfer / scfs::chunkstore (FileStorage), \
                       never call backend blob APIs directly",
             }],
-            skip_crates: vec![
-                "parking_lot".to_string(),
-                "criterion".to_string(),
-                "proptest".to_string(),
-            ],
+            skip_crates: vec!["parking_lot".to_string(), "proptest".to_string()],
             workspace_crates: set(&[
                 "sim_core",
                 "cloud_store",
@@ -200,7 +194,6 @@ impl Default for LintConfig {
                 "lint",
                 "check",
                 "parking_lot",
-                "criterion",
                 "proptest",
                 "scfs_repro",
             ]),
@@ -229,7 +222,7 @@ mod tests {
     #[test]
     fn shims_are_skipped_not_linted() {
         let cfg = LintConfig::default();
-        assert!(cfg.skip_crates.contains(&"criterion".to_string()));
-        assert!(!cfg.order_sensitive_crates.contains("criterion"));
+        assert!(cfg.skip_crates.contains(&"proptest".to_string()));
+        assert!(!cfg.order_sensitive_crates.contains("proptest"));
     }
 }

@@ -17,9 +17,10 @@ use sim_core::schedule::ControllerSlot;
 use sim_core::time::{Clock, SimDuration, SimInstant};
 use sim_core::units::Bytes;
 
-use crate::anchor::{anchored_chunk, anchored_manifest};
+use crate::anchor::{anchored_chunk, anchored_manifest, ANCHOR_READ_RETRIES, ANCHOR_RETRY_BACKOFF};
 use crate::backend::FileStorage;
 use crate::cache::{TieredCache, TieredStats, WriteMode};
+use crate::chunkstore::JournalOpts;
 use crate::config::{Mode, ScfsConfig};
 use crate::durability::DurabilityLevel;
 use crate::error::ScfsError;
@@ -36,6 +37,10 @@ type FetchedChunks = (Vec<Arc<[u8]>>, bool);
 /// another but overlap with uploads and prefetches. Distinct from every
 /// object lane (storage ids always contain `-f`).
 const GC_LANE: &str = "gc";
+
+/// Number of upcoming chunks the sequential-read prefetcher schedules on the
+/// background clock once a handle shows a sequential read pattern.
+const PREFETCH_CHUNKS: usize = 2;
 
 /// Counters describing the agent's activity, used by the experiment
 /// harnesses to explain latency results.
@@ -223,7 +228,7 @@ impl ScfsAgent {
         let session = SessionId::new(format!("{}-{}", user.as_str(), seed));
         let locks = coord
             .clone()
-            .map(|c| LockManager::new(c, session, config.lock_lease));
+            .map(|c| LockManager::new(c, session, LockManager::DEFAULT_LEASE));
         let use_pns = config.private_name_spaces || !config.mode.uses_coordination();
         let metadata =
             MetadataService::new(coord, use_pns, user.clone(), config.metadata_cache_expiry);
@@ -588,15 +593,12 @@ impl ScfsAgent {
     /// GC lane: cycles serialize with one another but overlap with uploads
     /// and prefetches, and never charge the foreground clock.
     fn maybe_run_gc(&mut self) {
-        if !self.config.gc.enabled
-            || self.written_since_gc < self.config.gc.written_bytes_threshold.get()
-        {
+        if self.written_since_gc < self.config.gc.written_bytes_threshold.get() {
             return;
         }
         self.written_since_gc = 0;
         self.stats.gc_runs += 1;
         let keep = self.config.gc.versions_to_keep;
-        let journal_opts = self.config.gc.journal_opts();
         // The collector observes the commits this agent has already issued,
         // so its timeline must start after the in-flight ones complete — a
         // reclaimed blob must not disappear at a virtual instant before the
@@ -651,7 +653,7 @@ impl ScfsAgent {
                 // blobs whose refcount hit zero, retrying any entry an earlier
                 // cycle failed on. This is what turns a failed delete into a
                 // delayed reclamation rather than a leaked orphan.
-                match storage.replay_release_journal(&mut ctx, &journal_opts) {
+                match storage.replay_release_journal(&mut ctx, &JournalOpts::default()) {
                     Ok(report) => {
                         stats.gc_retried += report.retried;
                         stats.gc_orphans_reclaimed += report.reclaimed_after_retry;
@@ -693,8 +695,8 @@ impl ScfsAgent {
                     self.storage.as_ref(),
                     &metadata.storage_id,
                     &root,
-                    self.config.anchor_read_retries,
-                    self.config.anchor_retry_backoff,
+                    ANCHOR_READ_RETRIES,
+                    ANCHOR_RETRY_BACKOFF,
                 )?;
                 self.stats.cloud_downloads += 1;
                 self.stats.anchor_retries += fetched.retries as u64;
@@ -736,10 +738,6 @@ impl ScfsAgent {
         if cloud_touched {
             let storage = self.storage.clone();
             let opts = self.transfer_options();
-            let (retries, backoff) = (
-                self.config.anchor_read_retries,
-                self.config.anchor_retry_backoff,
-            );
             let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
             let (chunks, report) = execute_plan(&mut ctx, &opts, &plan, |job, fork_ctx| {
                 let fetched = anchored_chunk(
@@ -747,8 +745,8 @@ impl ScfsAgent {
                     storage.as_ref(),
                     &metadata.storage_id,
                     &job.hash,
-                    retries,
-                    backoff,
+                    ANCHOR_READ_RETRIES,
+                    ANCHOR_RETRY_BACKOFF,
                 )?;
                 if fetched.data.len() != map.chunk_len(job.index) {
                     return Err(ScfsError::invalid(format!(
@@ -803,8 +801,8 @@ impl ScfsAgent {
                                 self.storage.as_ref(),
                                 &metadata.storage_id,
                                 &hash,
-                                self.config.anchor_read_retries,
-                                self.config.anchor_retry_backoff,
+                                ANCHOR_READ_RETRIES,
+                                ANCHOR_RETRY_BACKOFF,
                             )?;
                             self.stats.chunk_downloads += 1;
                             self.stats.bytes_downloaded += refetched.data.len() as u64;
@@ -912,10 +910,6 @@ impl ScfsAgent {
         let storage = self.storage.clone();
         let storage_id = file.metadata.storage_id.clone();
         let opts = self.transfer_options();
-        let (retries, backoff) = (
-            self.config.anchor_read_retries,
-            self.config.anchor_retry_backoff,
-        );
         // The prefetch is a scheduler job on the object's lane: it never
         // blocks the caller, serializes behind an in-flight upload of the
         // same object (read-after-write order) and overlaps with everything
@@ -938,8 +932,8 @@ impl ScfsAgent {
                     storage.as_ref(),
                     &storage_id,
                     &job.hash,
-                    retries,
-                    backoff,
+                    ANCHOR_READ_RETRIES,
+                    ANCHOR_RETRY_BACKOFF,
                 )
             })?;
             for (job, chunk) in plan.jobs().iter().zip(chunks) {
@@ -1032,10 +1026,8 @@ impl ScfsAgent {
             // Sequential readers get the next chunks prefetched in the
             // background; the very first read of a handle is not yet a
             // pattern (a cold `read(0, 4 KiB)` moves exactly one chunk).
-            let prefetch = self.config.prefetch_chunks;
-            if sequential && prefetch > 0 && !touched.is_empty() && touched.end < map.chunk_count()
-            {
-                let until = touched.end.saturating_add(prefetch).min(map.chunk_count());
+            if sequential && !touched.is_empty() && touched.end < map.chunk_count() {
+                let until = (touched.end + PREFETCH_CHUNKS).min(map.chunk_count());
                 self.prefetch_background(file, touched.end..until);
             }
         }

@@ -40,6 +40,12 @@ pub struct Anchored<T> {
 /// Result of an anchored whole-file read.
 pub type AnchoredRead = Anchored<Vec<u8>>;
 
+/// Number of retries the agent's anchored reads allow before giving up.
+pub const ANCHOR_READ_RETRIES: usize = 50;
+
+/// Virtual-time back-off between the agent's anchored-read retries.
+pub const ANCHOR_RETRY_BACKOFF: SimDuration = SimDuration::from_millis(200);
+
 /// Runs `op` against the storage service, retrying while it reports a
 /// transient error — the version is not yet visible (step r2 of Figure 3).
 ///

@@ -77,15 +77,6 @@ pub struct GcConfig {
     pub written_bytes_threshold: Bytes,
     /// Number of versions (V) to keep per file.
     pub versions_to_keep: usize,
-    /// Whether the collector runs at all.
-    pub enabled: bool,
-    /// Maximum number of pending release-journal entries the collector
-    /// replays per cycle (0 = all). Bounding the batch spreads the deletion
-    /// work of a huge prune over several cycles.
-    pub journal_replay_batch: usize,
-    /// Number of applied release-journal entries retained for inspection
-    /// (diagnostics and tests; older entries are compacted away).
-    pub journal_keep_applied: usize,
 }
 
 impl Default for GcConfig {
@@ -93,19 +84,6 @@ impl Default for GcConfig {
         GcConfig {
             written_bytes_threshold: Bytes::mib(256),
             versions_to_keep: 4,
-            enabled: true,
-            journal_replay_batch: 0,
-            journal_keep_applied: 64,
-        }
-    }
-}
-
-impl GcConfig {
-    /// The journal knobs in the form the storage backend consumes.
-    pub fn journal_opts(&self) -> crate::chunkstore::JournalOpts {
-        crate::chunkstore::JournalOpts {
-            replay_batch: self.journal_replay_batch,
-            keep_applied: self.journal_keep_applied,
         }
     }
 }
@@ -137,10 +115,6 @@ pub struct ScfsConfig {
     /// many parallel transfers, so a 16-chunk upload costs
     /// ~⌈16 / max_parallel_transfers⌉ chunk latencies of wall-clock.
     pub max_parallel_transfers: usize,
-    /// Number of upcoming chunks the sequential-read prefetcher schedules on
-    /// the background clock once a handle shows a sequential read pattern
-    /// (0 disables prefetch).
-    pub prefetch_chunks: usize,
     /// Maximum number of background version commits (non-blocking closes)
     /// in flight at once. A `close` that would exceed the bound blocks until
     /// the earliest pending upload completes — explicit backpressure instead
@@ -149,29 +123,9 @@ pub struct ScfsConfig {
     pub max_pending_uploads: usize,
     /// Garbage-collection policy.
     pub gc: GcConfig,
-    /// Lease duration of file write locks.
-    pub lock_lease: SimDuration,
     /// Per-system-call dispatch overhead (the FUSE-J user-level file system
     /// overhead the paper controls for with its LocalFS baseline).
     pub syscall_overhead: LatencyModel,
-    /// Maximum number of retries of the consistency-anchor read loop before
-    /// giving up, and the back-off between retries.
-    pub anchor_read_retries: usize,
-    /// Back-off between consistency-anchor read retries.
-    pub anchor_retry_backoff: SimDuration,
-    /// Number of shards the coordination plane partitions the metadata
-    /// namespace over (`coord::sharded::ShardTopology`). `1` keeps the
-    /// paper's single consistency-anchor deployment; larger values route
-    /// metadata tuples across that many ABD register groups by directory
-    /// hash, scaling aggregate metadata throughput near-linearly.
-    pub metadata_shards: usize,
-    /// Which placement policy the cloud-of-clouds backend uses to choose
-    /// clouds per DepSky operation when deployed over a heterogeneous
-    /// provider matrix (`placement::PolicyKind`). The paper's fixed layout
-    /// is [`placement::PolicyKind::AllClouds`]; the harness building the
-    /// backend (`workloads::setup`) consumes this knob — it has no effect
-    /// on a plain four-cloud deployment.
-    pub placement: placement::PolicyKind,
 }
 
 impl ScfsConfig {
@@ -186,32 +140,13 @@ impl ScfsConfig {
             chunk_size: Bytes::new(crate::types::DEFAULT_CHUNK_SIZE as u64),
             chunking: ChunkingMode::Fixed,
             max_parallel_transfers: crate::transfer::DEFAULT_MAX_PARALLEL,
-            prefetch_chunks: 2,
             max_pending_uploads: 64,
             gc: GcConfig::default(),
-            lock_lease: SimDuration::from_secs(120),
             syscall_overhead: LatencyModel::Uniform {
                 lo_millis: 0.11,
                 hi_millis: 0.16,
             },
-            anchor_read_retries: 50,
-            anchor_retry_backoff: SimDuration::from_millis(200),
-            metadata_shards: 1,
-            placement: placement::PolicyKind::AllClouds,
         }
-    }
-
-    /// Partitions the metadata namespace over `shards` register groups.
-    pub fn with_metadata_shards(mut self, shards: usize) -> Self {
-        self.metadata_shards = shards.max(1);
-        self
-    }
-
-    /// Selects the placement policy a matrix-backed cloud-of-clouds
-    /// deployment uses to pick clouds per operation.
-    pub fn with_placement_policy(mut self, policy: placement::PolicyKind) -> Self {
-        self.placement = policy;
-        self
     }
 
     /// A configuration with no syscall overhead and no caches expiring, for
@@ -302,7 +237,6 @@ mod tests {
     fn transfer_knobs_default_to_parallel_with_prefetch() {
         let c = ScfsConfig::paper_default(Mode::Blocking);
         assert_eq!(c.max_parallel_transfers, 4);
-        assert_eq!(c.prefetch_chunks, 2);
         assert!(c.max_pending_uploads >= 1);
     }
 
@@ -332,13 +266,7 @@ mod tests {
     #[test]
     fn gc_defaults_are_sane() {
         let gc = GcConfig::default();
-        assert!(gc.enabled);
         assert!(gc.written_bytes_threshold.get() > 0);
         assert!(gc.versions_to_keep >= 1);
-        assert_eq!(gc.journal_replay_batch, 0, "default replays everything");
-        assert!(gc.journal_keep_applied > 0);
-        let opts = gc.journal_opts();
-        assert_eq!(opts.replay_batch, gc.journal_replay_batch);
-        assert_eq!(opts.keep_applied, gc.journal_keep_applied);
     }
 }

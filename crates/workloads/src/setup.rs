@@ -261,28 +261,6 @@ pub fn build_coordinator(backend: Backend, seed: u64) -> Arc<dyn CoordinationSer
     Arc::new(coord)
 }
 
-/// Builds the coordination service for a backend with `shards` register
-/// groups. `shards <= 1` keeps the paper's single-anchor deployment (same
-/// construction and seed as [`build_coordinator`], so existing trajectories
-/// are unchanged); more shards build the ABD metadata plane with a matching
-/// per-group fault model (crash-tolerant for AWS, Byzantine for CoC).
-pub fn build_coordinator_sharded(
-    backend: Backend,
-    shards: usize,
-    seed: u64,
-) -> Arc<dyn CoordinationService> {
-    if shards <= 1 {
-        return build_coordinator(backend, seed);
-    }
-    let group = match backend {
-        Backend::Aws => ReplicationConfig::metro_crash(1),
-        Backend::CloudOfClouds => ReplicationConfig::coc_byzantine(),
-    };
-    let plane = ShardedCoordinator::new(ShardTopology::new(shards, group), seed)
-        .expect("topology constructors produce consistent configurations");
-    Arc::new(plane)
-}
-
 /// Builds one SCFS variant with the paper's default configuration.
 pub fn build_scfs(backend: Backend, mode: Mode, config: ScfsConfig, seed: u64) -> ScfsAgent {
     build_scfs_on(backend, &ProviderProfile::amazon_s3(), mode, config, seed)
@@ -299,11 +277,7 @@ pub fn build_scfs_on(
 ) -> ScfsAgent {
     let storage = build_storage_on(backend, single_cloud, seed);
     let coordinator = if mode.uses_coordination() {
-        Some(build_coordinator_sharded(
-            backend,
-            config.metadata_shards,
-            seed ^ 0x9999,
-        ))
+        Some(build_coordinator(backend, seed ^ 0x9999))
     } else {
         None
     };

@@ -33,11 +33,9 @@ fn fleet_dollars_per_user_month(
     cfg.files_per_team = 8;
     cfg.ops_per_mount = 8;
     cfg.mean_think = SimDuration::from_secs(20);
-    cfg.scfs = ScfsConfig::test(Mode::Blocking)
-        .with_cache_capacities(Bytes::new(1), Bytes::new(1))
-        .with_placement_policy(policy);
+    cfg.scfs = ScfsConfig::test(Mode::Blocking).with_cache_capacities(Bytes::new(1), Bytes::new(1));
     cfg.seed = 0xC057;
-    let menv = MatrixEnv::coc_matrix(profiles, cfg.scfs.placement, 3, 2, cfg.mode, cfg.seed);
+    let menv = MatrixEnv::coc_matrix(profiles, policy, 3, 2, cfg.mode, cfg.seed);
     if flaky_faults {
         menv.clouds[2].set_fault_plan(FaultPlan::flaky(0.04), cfg.seed);
     }

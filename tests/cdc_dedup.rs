@@ -55,7 +55,7 @@ fn mount(storage: Arc<dyn FileStorage>, config: ScfsConfig, seed: u64) -> ScfsAg
     ScfsAgent::mount("alice".into(), config, storage, Some(coordinator), seed).unwrap()
 }
 
-/// The headline acceptance criterion, on one backend: the 1 KiB mid-file
+/// The headline acceptance check, on one backend: the 1 KiB mid-file
 /// insert into a committed 16 MiB file moves ≤ 8 chunks under CDC and at
 /// least half the chunk count under fixed-size chunking.
 fn insert_is_o_edit_under_cdc(

@@ -56,7 +56,7 @@ fn steps_per_insert_at(policy: PolicyKind, resident: usize) -> f64 {
     (after.policy_steps - before.policy_steps) as f64 / OPS as f64
 }
 
-/// The O(1)-eviction acceptance criterion on the bare tier: growing the
+/// The O(1)-eviction acceptance check on the bare tier: growing the
 /// resident set 64× must not grow the per-eviction policy work. A policy
 /// that scanned all residents for its victim would be ~64× more expensive
 /// on the large tier.
@@ -98,7 +98,7 @@ fn policy_fleet(
     cfg
 }
 
-/// The same acceptance criterion at fleet level, on both backends: the same
+/// The same acceptance check at fleet level, on both backends: the same
 /// zipfian workload against a 16× larger memory tier must not cost more
 /// policy steps per cache lookup. An O(n) victim scan would charge the
 /// large tier (16× the resident entries) far more work per eviction.
@@ -123,7 +123,7 @@ fn fleet_eviction_cost_stays_flat_across_cache_sizes_on_both_backends() {
     }
 }
 
-/// The demotion acceptance criterion, on one backend: chunks fetched from
+/// The demotion acceptance check, on one backend: chunks fetched from
 /// the cloud land in the memory tier, get demoted to disk when evicted, and
 /// a later read of a demoted chunk is served from disk — promotions rise,
 /// cloud chunk downloads do not.
@@ -201,7 +201,7 @@ fn demoted_chunks_are_served_from_disk_on_coc() {
     demoted_chunks_are_served_from_disk(Backend::CloudOfClouds);
 }
 
-/// The policy-selection acceptance criterion: three memory policies chosen
+/// The policy-selection acceptance check: three memory policies chosen
 /// through `ScfsConfig` run the same zipfian fleet and record different hit
 /// rates, on both backends.
 #[test]
