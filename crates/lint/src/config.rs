@@ -58,6 +58,9 @@ pub struct LintConfig {
     /// kernels of scfs-crypto. Every `unsafe` block in them needs a
     /// `// SAFETY:` comment.
     pub unsafe_modules: BTreeSet<String>,
+    /// The only files that may hold process-global mutable state (D006):
+    /// the content-addressed payload table the mounts' caches share.
+    pub global_state_modules: BTreeSet<String>,
 }
 
 fn set(names: &[&str]) -> BTreeSet<String> {
@@ -202,6 +205,7 @@ impl Default for LintConfig {
                 "crates/scfs-crypto/src/gf256/x86.rs",
                 "crates/scfs-crypto/src/sha256/x86.rs",
             ]),
+            global_state_modules: set(&["crates/scfs/src/cache/payload.rs"]),
         }
     }
 }

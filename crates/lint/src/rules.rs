@@ -9,6 +9,7 @@
 //! | D002 | determinism  | no ambient randomness (`rand::`, `thread_rng`, …)       |
 //! | D003 | determinism  | no seeded std hashing (`RandomState`, `DefaultHasher`)  |
 //! | D004 | determinism  | no `HashMap`/`HashSet` iteration in order-sensitive code|
+//! | D006 | determinism  | process-global mutable state only in listed modules     |
 //! | C001 | clock        | `Pending<T>` / `Clock`-returning fns are `#[must_use]`  |
 //! | C002 | clock        | no `Pending` token discarded via `let _ =` unsettled    |
 //! | C003 | clock        | no ambient `Clock::new`/`starting_at` on the data path  |
@@ -84,6 +85,10 @@ pub fn rule_catalog(cfg: &LintConfig) -> Vec<RuleInfo> {
         "all workspace crates, tests included; allowed in {}",
         join_set(&cfg.unsafe_modules)
     );
+    let globals = format!(
+        "all workspace crates; allowed in {}",
+        join_set(&cfg.global_state_modules)
+    );
     let row = |id, class, summary, scope: &str| RuleInfo {
         id,
         class,
@@ -114,6 +119,12 @@ pub fn rule_catalog(cfg: &LintConfig) -> Vec<RuleInfo> {
             "determinism",
             "no `HashMap`/`HashSet` iteration in order-sensitive code",
             &order,
+        ),
+        row(
+            "D006",
+            "determinism",
+            "no process-global mutable state (`static` with interior mutability, `thread_local!`)",
+            &globals,
         ),
         row(
             "C001",
@@ -210,6 +221,7 @@ pub fn lint_file(sf: &SourceFile, cfg: &LintConfig) -> Vec<Violation> {
     if sf.crate_name == cfg.clock_home_crate {
         must_use_declarations(sf, &mut out);
     }
+    global_state(sf, cfg, &mut out);
     dropped_pending(sf, &mut out);
     if cfg.ambient_clock_crates.contains(&sf.crate_name) {
         ambient_clock(sf, &mut out);
@@ -821,6 +833,105 @@ fn error_hygiene(sf: &SourceFile, out: &mut Vec<Violation>) {
             _ => {}
         }
     }
+}
+
+// --- D006: process-global mutable state ------------------------------------
+
+/// Types whose `static` instances are mutable through a shared reference.
+const INTERIOR_MUTABLE: &[&str] = &[
+    "Mutex",
+    "RwLock",
+    "Cell",
+    "RefCell",
+    "OnceCell",
+    "OnceLock",
+    "LazyCell",
+    "LazyLock",
+    "UnsafeCell",
+];
+
+/// Process-global mutable state outlives every simulated component and is
+/// shared by every test thread, so it is allowed only in the configured
+/// modules: a `static mut`, a `static` whose type names an
+/// interior-mutability or `Atomic*` type, and any `thread_local!`.
+fn global_state(sf: &SourceFile, cfg: &LintConfig, out: &mut Vec<Violation>) {
+    if cfg.global_state_modules.contains(&sf.rel_path) {
+        return;
+    }
+    let toks = &sf.tokens;
+    let mut i = 0;
+    while i < toks.len() {
+        let what = match ident_at(sf, i) {
+            _ if sf.is_test(i) => None,
+            Some("thread_local") if punct_at(sf, i + 1, '!') => {
+                let line = line_of(sf, i);
+                // One report for the invocation, not one per `static` in it.
+                i = matching_close(sf, i + 2);
+                Some(("`thread_local!`".to_string(), line))
+            }
+            Some("static") => static_state(sf, i).map(|what| (what, line_of(sf, i))),
+            _ => None,
+        };
+        if let Some((what, line)) = what {
+            push(
+                out,
+                "D006",
+                sf,
+                line,
+                format!(
+                    "process-global mutable state ({what}) outside {}; keep \
+                     state in the component that owns it",
+                    join_set(&cfg.global_state_modules)
+                ),
+            );
+        }
+        i += 1;
+    }
+}
+
+/// Describes the `static` item at token `i` if it is mutable: `static mut`,
+/// or a type naming an interior-mutability or `Atomic*` type between the
+/// `static` and the `=` (or the `;` outside an array type) that ends the
+/// type.
+fn static_state(sf: &SourceFile, i: usize) -> Option<String> {
+    if ident_at(sf, i + 1) == Some("mut") {
+        return Some("`static mut`".to_string());
+    }
+    let mut arrays = 0usize;
+    for j in i + 1..sf.tokens.len() {
+        match &sf.tokens[j].tok {
+            Tok::Punct('=') => break,
+            Tok::Punct(';') if arrays == 0 => break,
+            Tok::Punct('[') => arrays += 1,
+            Tok::Punct(']') => arrays = arrays.saturating_sub(1),
+            Tok::Ident(name)
+                if INTERIOR_MUTABLE.contains(&name.as_str()) || name.starts_with("Atomic") =>
+            {
+                return Some(format!("a `static` `{name}`"));
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
+/// Index of the bracket closing the one opened at token `open` (the last
+/// token when unbalanced).
+fn matching_close(sf: &SourceFile, open: usize) -> usize {
+    let mut depth = 0usize;
+    for j in open..sf.tokens.len() {
+        match &sf.tokens[j].tok {
+            Tok::Punct('(' | '[' | '{') => depth += 1,
+            Tok::Punct(')' | ']' | '}') => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    return j;
+                }
+            }
+            _ => {}
+        }
+    }
+    sf.tokens.len().saturating_sub(1)
 }
 
 // --- S001: unsafe confinement ----------------------------------------------

@@ -118,6 +118,32 @@ fn unsafe_fixtures() {
     assert_eq!(s001(&lint_as("unsafe_negative.rs", elsewhere)), 2);
 }
 
+#[test]
+fn global_state_fixtures() {
+    let lint_as = |name: &str, rel: &str| {
+        let sf = SourceFile::parse(rel, "scfs", &fixture(name));
+        lint_file(&sf, &LintConfig::default())
+    };
+    let d006 = |vs: &[Violation]| vs.iter().filter(|v| v.rule == "D006").count();
+    let table = "crates/scfs/src/cache/payload.rs";
+    let elsewhere = "crates/scfs/src/cache/tier.rs";
+
+    let pos = lint_as("global_state_positive.rs", elsewhere);
+    assert_eq!(
+        d006(&pos),
+        7,
+        "atomic, mutex, lazy rwlock, once lock, static mut, mutex array, \
+         thread_local: {pos:?}"
+    );
+    assert!(
+        active_rules(&lint_as("global_state_positive.rs", table)).is_empty(),
+        "the payload table is the configured global-state module"
+    );
+
+    let neg = lint_as("global_state_negative.rs", elsewhere);
+    assert!(active_rules(&neg).is_empty(), "false positives: {neg:?}");
+}
+
 /// Builds a minimal fake workspace on disk under the cargo test tmpdir.
 fn synth_workspace(name: &str, files: &[(&str, &str)]) -> PathBuf {
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);

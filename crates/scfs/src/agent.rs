@@ -19,7 +19,7 @@ use sim_core::units::Bytes;
 
 use crate::anchor::{anchored_chunk, anchored_manifest, ANCHOR_READ_RETRIES, ANCHOR_RETRY_BACKOFF};
 use crate::backend::FileStorage;
-use crate::cache::{TieredCache, TieredStats, WriteMode};
+use crate::cache::{payload, Payload, TieredCache, TieredStats, WriteMode};
 use crate::chunkstore::JournalOpts;
 use crate::config::{Mode, ScfsConfig};
 use crate::durability::DurabilityLevel;
@@ -31,7 +31,7 @@ use crate::transfer::{execute_plan, TransferOptions, TransferPlan};
 use crate::types::{normalize_path, ChunkMap, FileHandle, FileMetadata, FileType, OpenFlags};
 
 /// Chunk payloads in request order, plus whether the cloud was touched.
-type FetchedChunks = (Vec<Arc<[u8]>>, bool);
+type FetchedChunks = (Vec<Payload>, bool);
 
 /// Scheduler lane of the garbage collector: GC cycles serialize with one
 /// another but overlap with uploads and prefetches. Distinct from every
@@ -682,7 +682,7 @@ impl ScfsAgent {
     ) -> Result<ChunkMap, ScfsError> {
         let manifest_key = Self::manifest_cache_key(&root);
         // The tiered cache handles the memory → disk fallthrough and
-        // promotes a disk hit into memory by moving the Arc.
+        // promotes a disk hit into memory by sharing the payload.
         let cached_manifest = self.cache.get(&mut self.clock, &manifest_key, Some(&root));
         match cached_manifest {
             Some(bytes) => ChunkMap::decode(&bytes).map_err(|e| {
@@ -700,7 +700,9 @@ impl ScfsAgent {
                 )?;
                 self.stats.cloud_downloads += 1;
                 self.stats.anchor_retries += fetched.retries as u64;
-                let bytes: Arc<[u8]> = fetched.data.encode().into();
+                // The backend verified the manifest against `root`, and a
+                // manifest re-encodes to the bytes its root hash covers.
+                let bytes = payload::intern(root, fetched.data.encode());
                 self.cache.put(
                     &mut self.clock,
                     &manifest_key,
@@ -733,7 +735,7 @@ impl ScfsAgent {
         });
 
         // Execute: fetch the misses in parallel on forked foreground clocks.
-        let mut fetched: HashMap<scfs_crypto::ContentHash, Arc<[u8]>> = HashMap::new();
+        let mut fetched: HashMap<scfs_crypto::ContentHash, Payload> = HashMap::new();
         let cloud_touched = !plan.is_empty();
         if cloud_touched {
             let storage = self.storage.clone();
@@ -765,7 +767,9 @@ impl ScfsAgent {
                 self.stats.bytes_downloaded += chunk.data.len() as u64;
                 self.stats.anchor_retries += chunk.retries as u64;
                 let key = Self::chunk_cache_key(&job.hash);
-                let data: Arc<[u8]> = chunk.data.into();
+                // The backend verified the chunk against its hash, so it may
+                // be shared with every other mount caching it.
+                let data = payload::intern(job.hash, chunk.data);
                 // Memory-first: a clean chunk the cloud still holds reaches
                 // disk later by demotion if it stays warm enough to matter.
                 self.cache.put(
@@ -788,7 +792,7 @@ impl ScfsAgent {
                 None => {
                     let key = Self::chunk_cache_key(&hash);
                     // The tiered get promotes a disk hit into memory by
-                    // moving the Arc (one insert charge, no payload copy).
+                    // sharing the payload (one insert charge, no byte copy).
                     match self.cache.get(&mut self.clock, &key, Some(&hash)) {
                         Some(chunk) => chunk,
                         None => {
@@ -807,7 +811,7 @@ impl ScfsAgent {
                             self.stats.chunk_downloads += 1;
                             self.stats.bytes_downloaded += refetched.data.len() as u64;
                             self.stats.anchor_retries += refetched.retries as u64;
-                            refetched.data.into()
+                            payload::intern(hash, refetched.data)
                         }
                     }
                 }
@@ -944,7 +948,7 @@ impl ScfsAgent {
                 cache.put(
                     bg_ctx.clock,
                     &key,
-                    chunk.data.into(),
+                    payload::intern(job.hash, chunk.data),
                     Some(job.hash),
                     WriteMode::CacheOnly,
                 );
@@ -976,7 +980,9 @@ impl ScfsAgent {
         };
         for (index, chunk_hash) in map.chunks().iter().enumerate() {
             let key = Self::chunk_cache_key(chunk_hash);
-            let chunk: Arc<[u8]> = Arc::from(&data[map.byte_range(index)]);
+            // `map` was just computed from `data`, so the hash covers these
+            // very bytes.
+            let chunk = payload::intern(*chunk_hash, &data[map.byte_range(index)]);
             self.cache
                 .put(&mut self.clock, &key, chunk, Some(*chunk_hash), mode);
         }
@@ -985,8 +991,10 @@ impl ScfsAgent {
     /// Writes a version's chunks and manifest into both cache levels.
     fn cache_version_locally(&mut self, map: &ChunkMap, data: &[u8]) {
         self.spill_chunks(map, data, true);
-        let manifest: Arc<[u8]> = map.encode().into();
-        let root = map.root_hash();
+        let encoded = map.encode();
+        // The root hash is the SHA-256 of exactly these bytes.
+        let root = scfs_crypto::sha256(&encoded);
+        let manifest = payload::intern(root, encoded);
         let manifest_key = Self::manifest_cache_key(&root);
         self.cache.put(
             &mut self.clock,
@@ -1107,17 +1115,19 @@ impl ScfsAgent {
     fn sync_open(&mut self, file: &mut OpenFile) -> Result<DurabilityLevel, ScfsError> {
         if file.dirty || file.never_uploaded {
             self.materialize(file)?;
-            let buffer = file.buffer.clone();
-            let map = self.config.chunk_map(&buffer);
+            // `file` is not part of `self`, so the buffer is borrowed, not
+            // copied, across the agent calls below.
+            let buffer = &file.buffer;
+            let map = self.config.chunk_map(buffer);
             // Level 1 first, as always — then the commit.
-            self.cache_version_locally(&map, &buffer);
+            self.cache_version_locally(&map, buffer);
             self.written_since_gc += buffer.len() as u64;
             // The lane orders this commit behind any in-flight upload of the
             // same object; the new token supersedes the pending record.
             self.pending_uploads.remove(&file.metadata.storage_id);
             let token = self.begin_upload(
                 file.metadata.clone(),
-                &buffer,
+                buffer,
                 &map,
                 file.chunk_map.as_ref(),
                 file.never_uploaded,
@@ -1366,16 +1376,21 @@ impl FileSystem for ScfsAgent {
 
     fn fsync(&mut self, handle: FileHandle) -> Result<(), ScfsError> {
         self.charge_syscall();
-        let file = self.get_open(handle)?;
-        if !file.dirty {
+        if !self.get_open(handle)?.dirty {
             return Ok(());
         }
-        let buffer = file.buffer.clone();
+        // Taken out of the map (as `sync` does) so the buffer is borrowed
+        // alongside the agent instead of copied.
+        let file = self
+            .open_files
+            .remove(&handle)
+            .ok_or(ScfsError::BadHandle { handle: handle.0 })?;
         // Durability level 1: the data reaches the local disk, as chunks.
         // No manifest is spilled — the version is not committed yet, so
         // there is no root hash for a reader to look it up under.
-        let map = self.config.chunk_map(&buffer);
-        self.spill_chunks(&map, &buffer, false);
+        let map = self.config.chunk_map(&file.buffer);
+        self.spill_chunks(&map, &file.buffer, false);
+        self.open_files.insert(handle, file);
         Ok(())
     }
 

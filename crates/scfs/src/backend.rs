@@ -340,26 +340,40 @@ pub trait FileStorage: Send + Sync {
             let (chunks, _) = execute_plan(&mut ctx, opts, &plan, |job, fork_ctx| {
                 self.read_chunk(fork_ctx, id, &job.hash)
             })?;
-            let by_hash: BTreeMap<&ContentHash, &Vec<u8>> = plan
+            // Each fetched chunk moves to the last position that wants it;
+            // only positions repeating a hash earlier in `indices` get a copy.
+            let mut uses: BTreeMap<&ContentHash, usize> = BTreeMap::new();
+            for &index in &indices {
+                *uses.entry(&map.chunks()[index]).or_default() += 1;
+            }
+            let mut by_hash: BTreeMap<&ContentHash, Vec<u8>> = plan
                 .jobs()
                 .iter()
                 .map(|job| &job.hash)
-                .zip(chunks.iter())
+                .zip(chunks)
                 .collect();
             indices
                 .iter()
                 .map(|&index| {
                     let hash = &map.chunks()[index];
-                    let chunk = by_hash.get(hash).ok_or(StorageError::NotFound {
+                    let not_found = || StorageError::NotFound {
                         key: id.to_string(),
-                    })?;
+                    };
+                    let remaining = uses.get_mut(hash).ok_or_else(not_found)?;
+                    *remaining -= 1;
+                    let chunk = if *remaining == 0 {
+                        by_hash.remove(hash)
+                    } else {
+                        by_hash.get(hash).cloned()
+                    }
+                    .ok_or_else(not_found)?;
                     if chunk.len() != map.chunk_len(index) {
                         return Err(StorageError::IntegrityViolation {
                             key: id.to_string(),
                         }
                         .into());
                     }
-                    Ok((*chunk).clone())
+                    Ok(chunk)
                 })
                 .collect()
         })

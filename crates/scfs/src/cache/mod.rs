@@ -8,29 +8,38 @@
 //! entry is validated against the coordination service's version hash
 //! before being served, so a stale copy is never returned.
 //!
-//! The module is split in three layers:
+//! The module is split in four layers:
 //!
 //! * [`policy`] — the [`CachePolicy`] trait (victim selection + admission)
 //!   and its implementations: LRU over an intrusive recency list (O(1)
 //!   eviction — no full-map scan), TinyLFU frequency-sketch admission, and
 //!   size-aware GDSF. Selected per tier via [`PolicyKind`].
 //! * [`tier`] — [`CacheTier`], one bounded level owning the payloads
-//!   (`Arc<[u8]>`: hits never copy chunk bytes), the key index, the byte
-//!   accounting and the latency charging.
+//!   (reference-counted [`Payload`]s: hits never copy chunk bytes), the key
+//!   index, the byte accounting and the latency charging.
 //! * [`TieredCache`] — the memory-over-disk composition the agent mounts:
-//!   disk hits are **promoted** into memory by moving the `Arc` (one insert
-//!   charge, no copy), and memory evictions are **demoted** to disk instead
-//!   of being dropped, so re-reads stay local instead of touching the
-//!   cloud.
+//!   disk hits are **promoted** into memory by sharing the payload (one
+//!   insert charge, no copy), and memory evictions are **demoted** to disk
+//!   instead of being dropped, so re-reads stay local instead of touching
+//!   the cloud.
+//! * [`payload`] — the process-wide content-addressed payload table under
+//!   every mount's tiers: the agent interns verified chunk and manifest
+//!   bytes by hash, so mounts caching the same content share one
+//!   allocation instead of a copy each. Per-mount capacity accounting,
+//!   hits, evictions and latencies are unchanged; the table forgets a hash
+//!   exactly when the last cache entry or transient copy holding it is
+//!   dropped.
 //!
 //! Policies and capacities are chosen through [`CacheConfig`], carried by
 //! [`crate::config::ScfsConfig`]; the
 //! [fleet harness](../../workloads/fleet/index.html) measures the resulting
 //! hit rates and latency percentiles at 10⁴+ simulated mounts.
 
+pub mod payload;
 pub mod policy;
 pub mod tier;
 
+pub use payload::Payload;
 pub use policy::{CachePolicy, FrequencySketch, PolicyKind};
 pub use tier::{CacheStats, CacheTier, Evicted, TieredCache, TieredStats, WriteMode};
 
@@ -81,7 +90,7 @@ impl CacheConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scfs_crypto::sha256;
+    use scfs_crypto::{sha256, ContentHash};
     use sim_core::time::Clock;
     use std::sync::Arc;
 
@@ -116,11 +125,12 @@ mod tests {
     fn hits_share_the_payload_instead_of_copying() {
         let mut cache = CacheTier::memory(Bytes::mib(1), PolicyKind::Lru, 1);
         let mut clock = Clock::new();
-        let data = zeros(4096);
+        let data = Payload::from(zeros(4096));
         cache.put(&mut clock, "/f", data.clone(), None);
         let served = cache.get(&mut clock, "/f", None).unwrap();
-        assert!(
-            Arc::ptr_eq(&data, &served),
+        assert_eq!(
+            data.as_ptr(),
+            served.as_ptr(),
             "a hit must return the same allocation, not a copy"
         );
     }
@@ -398,7 +408,7 @@ mod tests {
         let config = CacheConfig::default().with_capacities(Bytes::new(1000), Bytes::new(10_000));
         let mut cache = TieredCache::new(&config, 32);
         let mut clock = Clock::new();
-        let data = zeros(500);
+        let data = Payload::from(zeros(500));
         let hash = sha256(&data);
         cache.put(
             &mut clock,
@@ -408,10 +418,10 @@ mod tests {
             WriteMode::DiskOnly,
         );
         let served = cache.get(&mut clock, "/f", Some(&hash)).unwrap();
-        assert!(Arc::ptr_eq(&data, &served), "promotion must not copy");
+        assert_eq!(data.as_ptr(), served.as_ptr(), "promotion must not copy");
         // The promoted copy in memory is the same allocation too.
         let from_mem = cache.get(&mut clock, "/f", Some(&hash)).unwrap();
-        assert!(Arc::ptr_eq(&data, &from_mem));
+        assert_eq!(data.as_ptr(), from_mem.as_ptr());
     }
 
     #[test]
@@ -481,5 +491,113 @@ mod tests {
         assert_eq!(a.promotions, 2);
         assert!((TieredStats::hit_rate(&b.memory) - 1.0).abs() < 1e-12);
         assert_eq!(TieredStats::hit_rate(&CacheStats::default()), 0.0);
+    }
+
+    /// A payload of `n` bytes no other test interns, and its hash: tests
+    /// sharing the process-wide table must check only their own hashes.
+    fn unique(tag: &str, n: usize) -> (ContentHash, Payload) {
+        let mut bytes = format!("cache release test {tag}:").into_bytes();
+        bytes.resize(n, 0x5a);
+        (sha256(&bytes), Payload::from(&bytes[..]))
+    }
+
+    #[test]
+    fn every_tier_release_path_forgets_the_payload() {
+        let mut clock = Clock::new();
+        let mut tier = CacheTier::memory(Bytes::new(300), PolicyKind::Lru, 41);
+
+        // Capacity eviction: the evicted entry is handed back, then dropped.
+        let (evicted, data) = unique("evicted", 200);
+        tier.put(&mut clock, "/a", data, Some(evicted));
+        assert!(payload::is_interned(&evicted));
+        let (kept, data) = unique("kept", 200);
+        let handed_back = tier.put(&mut clock, "/b", data, Some(kept));
+        assert_eq!(handed_back.len(), 1);
+        assert!(payload::is_interned(&evicted), "the caller still holds it");
+        drop(handed_back);
+        assert!(!payload::is_interned(&evicted));
+
+        // Removal.
+        tier.remove("/b");
+        assert!(!payload::is_interned(&kept));
+
+        // Replacement in place.
+        let (old, data) = unique("replaced", 100);
+        tier.put(&mut clock, "/c", data, Some(old));
+        let (new, data) = unique("replacement", 100);
+        tier.put(&mut clock, "/c", data, Some(new));
+        assert!(!payload::is_interned(&old));
+
+        // Oversize bypass: the payload is never stored, and the entry it
+        // displaces goes too.
+        let (huge, data) = unique("oversized", 1000);
+        tier.put(&mut clock, "/c", data, Some(huge));
+        assert!(!payload::is_interned(&huge));
+        assert!(!payload::is_interned(&new));
+
+        // Dropping the tier releases what it still holds.
+        let (resident, data) = unique("resident", 100);
+        tier.put(&mut clock, "/d", data, Some(resident));
+        drop(tier);
+        assert!(!payload::is_interned(&resident));
+    }
+
+    #[test]
+    fn a_disk_eviction_during_demotion_forgets_the_payload() {
+        let config = CacheConfig::default().with_capacities(Bytes::new(300), Bytes::new(300));
+        let mut cache = TieredCache::new(&config, 42);
+        let mut clock = Clock::new();
+        let (first, data) = unique("first", 200);
+        cache.put(&mut clock, "/a", data, Some(first), WriteMode::CacheOnly);
+        let (second, data) = unique("second", 200);
+        // Demotes /a to disk.
+        cache.put(&mut clock, "/b", data, Some(second), WriteMode::CacheOnly);
+        assert!(cache.disk().contains("/a", Some(&first)));
+        let (third, data) = unique("third", 200);
+        // Demotes /b to disk, which evicts /a from the cache for good.
+        cache.put(&mut clock, "/c", data, Some(third), WriteMode::CacheOnly);
+        assert!(!cache.contains("/a", None));
+        assert!(!payload::is_interned(&first));
+        assert!(payload::is_interned(&second));
+        drop(cache);
+        assert!(!payload::is_interned(&second));
+        assert!(!payload::is_interned(&third));
+    }
+
+    #[test]
+    fn two_caches_holding_one_content_share_its_allocation() {
+        let config = CacheConfig::default();
+        let mut a = TieredCache::new(&config, 43);
+        let mut b = TieredCache::new(&config, 44);
+        let mut clock = Clock::new();
+        let (hash, data) = unique("two mounts", 4096);
+        let bytes = data.to_vec();
+        drop(data);
+        a.put(
+            &mut clock,
+            "/f",
+            payload::intern(hash, &bytes[..]),
+            Some(hash),
+            WriteMode::Through,
+        );
+        b.put(
+            &mut clock,
+            "/f",
+            payload::intern(hash, &bytes[..]),
+            Some(hash),
+            WriteMode::CacheOnly,
+        );
+        let from_a = a.get(&mut clock, "/f", Some(&hash)).unwrap();
+        let from_b = b.get(&mut clock, "/f", Some(&hash)).unwrap();
+        assert_eq!(from_a.as_ptr(), from_b.as_ptr());
+        // a's two tiers and b's memory tier, plus the two copies above.
+        assert_eq!(payload::holders(&hash), 5);
+        // Each cache still accounts the full payload length.
+        assert_eq!(a.memory().used_bytes(), Bytes::new(4096));
+        assert_eq!(b.memory().used_bytes(), Bytes::new(4096));
+        drop((from_a, from_b, a));
+        assert_eq!(payload::holders(&hash), 1);
+        b.remove("/f");
+        assert!(!payload::is_interned(&hash));
     }
 }

@@ -1,22 +1,24 @@
 //! Cache tiers and the two-tier composition used by the agent.
 //!
 //! A [`CacheTier`] owns the resident entries of one level (memory or disk):
-//! a slab of [`Arc<[u8]>`] payloads, a key index, the byte accounting and
+//! a slab of [`Payload`]s, a key index, the byte accounting and
 //! the virtual-clock latency charging. Ordering decisions are delegated to
 //! its [`CachePolicy`]. [`TieredCache`] composes a memory tier over a disk
 //! tier and makes the paper's two-level behaviour (§2.5.1) first-class:
 //!
-//! * **promotion** — a disk hit moves the `Arc` into the memory tier,
+//! * **promotion** — a disk hit moves the payload into the memory tier,
 //!   charging one memory insert (request latency, no payload copy);
 //! * **demotion** — entries evicted from memory under capacity pressure are
 //!   written to the disk tier instead of being dropped, so a later read is
 //!   a disk hit rather than a cloud download.
 //!
-//! Payloads are `Arc<[u8]>` end to end: hits, promotions and demotions move
-//! reference counts, never chunk bytes.
+//! Payloads are reference-counted end to end: hits, promotions and
+//! demotions move reference counts, never chunk bytes. Interned payloads
+//! (see [`super::payload`]) are further shared with every other mount's
+//! cache that holds the same content; dropping an entry's payload on any
+//! path releases it from the table once no cache holds it any more.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use scfs_crypto::ContentHash;
 use sim_core::latency::LatencyProfile;
@@ -24,6 +26,7 @@ use sim_core::rng::DetRng;
 use sim_core::time::Clock;
 use sim_core::units::Bytes;
 
+use super::payload::Payload;
 use super::policy::{CachePolicy, EntryId, PolicyKind};
 use super::CacheConfig;
 use crate::invariant::InvariantViolation;
@@ -56,7 +59,7 @@ pub struct CacheStats {
 #[derive(Debug)]
 struct Entry {
     key: String,
-    data: Arc<[u8]>,
+    data: Payload,
     hash: Option<ContentHash>,
 }
 
@@ -66,7 +69,7 @@ pub struct Evicted {
     /// The cache key.
     pub key: String,
     /// The payload (moved, not copied).
-    pub data: Arc<[u8]>,
+    pub data: Payload,
     /// The version hash the payload corresponds to.
     pub hash: Option<ContentHash>,
 }
@@ -234,13 +237,13 @@ impl CacheTier {
     /// `expected_hash` (a `None` expectation accepts any entry — used for
     /// freshly created files that have no cloud version yet). A hit charges
     /// the tier's read latency for the payload size; the payload itself is
-    /// an `Arc` clone, never a byte copy.
+    /// a reference-count clone, never a byte copy.
     pub fn get(
         &mut self,
         clock: &mut Clock,
         key: &str,
         expected_hash: Option<&ContentHash>,
-    ) -> Option<Arc<[u8]>> {
+    ) -> Option<Payload> {
         self.get_with_hash(clock, key, expected_hash)
             .map(|(d, _)| d)
     }
@@ -252,7 +255,7 @@ impl CacheTier {
         clock: &mut Clock,
         key: &str,
         expected_hash: Option<&ContentHash>,
-    ) -> Option<(Arc<[u8]>, Option<ContentHash>)> {
+    ) -> Option<(Payload, Option<ContentHash>)> {
         // Every lookup feeds the admission filter, so frequency estimates
         // cover keys that are not (or no longer) resident.
         self.policy.record_access(hash_key(key));
@@ -286,20 +289,20 @@ impl CacheTier {
         &mut self,
         clock: &mut Clock,
         key: &str,
-        data: Arc<[u8]>,
+        data: impl Into<Payload>,
         hash: Option<ContentHash>,
     ) -> Vec<Evicted> {
-        self.insert(clock, key, data, hash, true)
+        self.insert(clock, key, data.into(), hash, true)
     }
 
     /// Inserts an entry whose payload is already resident in a lower tier —
-    /// the promotion path. The `Arc` is moved, so only the tier's
+    /// the promotion path. The payload is moved, so only the tier's
     /// per-request insert latency is charged, not a payload transfer.
     pub fn put_moved(
         &mut self,
         clock: &mut Clock,
         key: &str,
-        data: Arc<[u8]>,
+        data: Payload,
         hash: Option<ContentHash>,
     ) -> Vec<Evicted> {
         self.insert(clock, key, data, hash, false)
@@ -309,7 +312,7 @@ impl CacheTier {
         &mut self,
         clock: &mut Clock,
         key: &str,
-        data: Arc<[u8]>,
+        data: Payload,
         hash: Option<ContentHash>,
         charge_payload: bool,
     ) -> Vec<Evicted> {
@@ -569,15 +572,15 @@ impl TieredCache {
     }
 
     /// Two-level lookup: memory first, then disk. A disk hit is promoted
-    /// into the memory tier by moving the `Arc` (one insert charge, no
-    /// payload copy); entries the promotion pushes out of memory are
-    /// demoted back to disk.
+    /// into the memory tier by sharing the payload (one insert charge, no
+    /// byte copy); entries the promotion pushes out of memory are demoted
+    /// back to disk.
     pub fn get(
         &mut self,
         clock: &mut Clock,
         key: &str,
         expected_hash: Option<&ContentHash>,
-    ) -> Option<Arc<[u8]>> {
+    ) -> Option<Payload> {
         if let Some(data) = self.memory.get(clock, key, expected_hash) {
             return Some(data);
         }
@@ -594,10 +597,11 @@ impl TieredCache {
         &mut self,
         clock: &mut Clock,
         key: &str,
-        data: Arc<[u8]>,
+        data: impl Into<Payload>,
         hash: Option<ContentHash>,
         mode: WriteMode,
     ) {
+        let data = data.into();
         match mode {
             WriteMode::Through => {
                 self.disk.put(clock, key, data.clone(), hash);
